@@ -18,10 +18,11 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use tps_core::rng::SplitMix64;
 use tps_core::VirtAddr;
 use tps_mem::BuddyAllocator;
 use tps_os::Os;
-use tps_sim::{AccessLevel, MachineConfig, Mechanism, Mmu};
+use tps_sim::{MachineConfig, Mechanism, Mmu, ThreadCounters};
 
 /// Pinned microbench seed.
 const SEED: u64 = 0x5EED_0008;
@@ -45,28 +46,9 @@ const ACCESSES: u64 = 2_000_000;
 /// uniform tail of the stream overflows L2 and reaches the walker.
 const STLB_SETS: usize = 8;
 
-/// SplitMix64: the workspace's standard pinned-seed generator.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-}
-
 struct Measurement {
     wall_ms: f64,
-    accesses: u64,
-    l1_hits: u64,
-    stlb_hits: u64,
-    range_hits: u64,
-    l2_misses: u64,
-    walks: u64,
-    walk_refs: u64,
+    counters: ThreadCounters,
     faults: u64,
 }
 
@@ -95,17 +77,15 @@ fn run_mechanism(mechanism: Mechanism) -> Measurement {
         }
         off += tps_core::BASE_PAGE_SIZE;
     }
-    let warm = mmu.tlb().stats();
 
     // Timed loop: 7 of 8 accesses land in the hot window (L1-friendly),
     // the rest are uniform over all regions (stressing STLB/walks).
-    let mut rng = SplitMix64(SEED);
-    let mut walks = 0u64;
-    let mut walk_refs = 0u64;
+    let mut rng = SplitMix64::new(SEED);
+    let mut counters = ThreadCounters::default();
     let mut faults = 0u64;
     let start = Instant::now();
     for _ in 0..ACCESSES {
-        let r = rng.next();
+        let r = rng.next_u64();
         let va = if r & 7 != 0 {
             bases[0] + r % HOT_WINDOW
         } else {
@@ -114,24 +94,13 @@ fn run_mechanism(mechanism: Mechanism) -> Measurement {
         let out = mmu
             .access(&mut os, asid, VirtAddr::new(va), r & 1 == 0)
             .expect("benchmark accesses stay within mapped regions");
-        if out.level == AccessLevel::Walk {
-            walks += 1;
-        }
-        walk_refs += out.walk_refs;
+        counters.record(out.level, &out);
         faults += u64::from(out.faults);
     }
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-
-    let stats = mmu.tlb().stats();
     Measurement {
         wall_ms,
-        accesses: stats.accesses - warm.accesses,
-        l1_hits: stats.l1_hits - warm.l1_hits,
-        stlb_hits: stats.stlb_hits - warm.stlb_hits,
-        range_hits: stats.range_hits - warm.range_hits,
-        l2_misses: stats.l2_misses - warm.l2_misses,
-        walks,
-        walk_refs,
+        counters,
         faults,
     }
 }
@@ -150,19 +119,20 @@ fn main() {
     let _ = writeln!(out, "  \"mechanisms\": {{");
     for (i, (name, mech)) in mechanisms.iter().enumerate() {
         let m = run_mechanism(*mech);
+        let c = &m.counters;
         let _ = write!(
             out,
             "    \"{name}\": {{\"wall_ms\": {:.1}, \"accesses\": {}, \"l1_hits\": {}, \
              \"stlb_hits\": {}, \"range_hits\": {}, \"l2_misses\": {}, \"walks\": {}, \
              \"walk_refs\": {}, \"faults\": {}}}",
             m.wall_ms,
-            m.accesses,
-            m.l1_hits,
-            m.stlb_hits,
-            m.range_hits,
-            m.l2_misses,
-            m.walks,
-            m.walk_refs,
+            c.mem.accesses,
+            c.mem.l1_hits,
+            c.mem.stlb_hits,
+            c.mem.range_hits,
+            c.mem.l2_misses,
+            c.walks,
+            c.walk_refs,
             m.faults
         );
         out.push_str(if i + 1 < mechanisms.len() {

@@ -34,8 +34,6 @@ pub struct ThreadCounters {
     pub alias_extras: u64,
     /// Hardware A/D-bit stores.
     pub ad_updates: u64,
-    /// Access events executed.
-    pub accesses: u64,
     /// Instructions from explicit `Compute` events.
     pub extra_insts: u64,
 }
@@ -75,7 +73,6 @@ impl RunCounters {
 impl ThreadCounters {
     /// Records one translated access.
     pub fn record(&mut self, level: AccessLevel, outcome: &crate::mmu::AccessOutcome) {
-        self.accesses += 1;
         self.mem.accesses += 1;
         match level {
             AccessLevel::L1 => self.mem.l1_hits += 1,
@@ -968,7 +965,7 @@ impl Machine {
         let t = &self.tenants[slot];
         let profile = t.workload.profile();
         let insts = |c: &ThreadCounters| {
-            (c.accesses as f64 * profile.insts_per_access) as u64 + c.extra_insts
+            (c.mem.accesses as f64 * profile.insts_per_access) as u64 + c.extra_insts
         };
         let process = self.os.process(t.asid);
         let hw_faults = HwFaultStats {
@@ -1325,7 +1322,7 @@ mod tests {
             )
             .unwrap();
         }
-        assert_eq!(m.counters(0).full.accesses, 256);
+        assert_eq!(m.counters(0).full.mem.accesses, 256);
         let census = m.os().process(0).page_table().page_census();
         assert_eq!(census.len(), 1);
     }
@@ -1417,7 +1414,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(m.counters(0).full.accesses, 1);
+        assert_eq!(m.counters(0).full.mem.accesses, 1);
     }
 
     #[test]
@@ -1741,8 +1738,8 @@ mod tests {
                 }
             }
             // Both tenants did verified work through the shared hierarchy.
-            let a = m.counters(0).full.accesses;
-            let b = m.counters(1).full.accesses;
+            let a = m.counters(0).full.mem.accesses;
+            let b = m.counters(1).full.mem.accesses;
             proptest::prop_assert_eq!(a + b, a.max(b) + a.min(b));
         }
     }

@@ -6,7 +6,7 @@ use crate::nested::NestedWalkModel;
 use tps_core::{LeafInfo, PageOrder, PteFlags, TpsError, VirtAddr};
 use tps_os::{Os, Shootdown};
 use tps_pt::{MmuCaches, Walker};
-use tps_tlb::{Asid, L2Hit, TlbHierarchy};
+use tps_tlb::{Asid, L2Hit, TlbHierarchy, Translation};
 
 /// Where an access found its translation.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -33,9 +33,6 @@ pub struct AccessOutcome {
     pub alias_extra: bool,
     /// Page faults taken while serving this access.
     pub faults: u32,
-    /// True if the fault handler promoted a page while serving this
-    /// access.
-    pub promoted: bool,
     /// Hardware A/D-bit stores performed.
     pub ad_updates: u64,
 }
@@ -66,11 +63,6 @@ impl Mmu {
             perfect_l2: config.perfect_l2,
             verify: config.verify_translations,
         }
-    }
-
-    /// The TLB hierarchy (inspection).
-    pub fn tlb(&self) -> &TlbHierarchy {
-        &self.tlb
     }
 
     /// MMU-cache hit counters (PDE, PDPTE, PML4E).
@@ -124,23 +116,21 @@ impl Mmu {
     }
 
     /// Makes sure `va` is mapped, faulting as needed. Returns the covering
-    /// leaf, the number of faults taken, and whether a promotion happened.
+    /// leaf and the number of faults taken.
     fn ensure_mapped(
         &mut self,
         os: &mut Os,
         asid: Asid,
         va: VirtAddr,
         write: bool,
-    ) -> Result<(LeafInfo, u32, bool), TpsError> {
+    ) -> Result<(LeafInfo, u32), TpsError> {
         let mut faults = 0u32;
-        let mut promoted = false;
         loop {
             if let Some(leaf) = os.page_table(asid).lookup(va) {
-                return Ok((leaf, faults, promoted));
+                return Ok((leaf, faults));
             }
-            let outcome = os.handle_fault(asid, va, write)?;
+            os.handle_fault(asid, va, write)?;
             faults += 1;
-            promoted |= outcome.promoted;
         }
     }
 
@@ -166,36 +156,34 @@ impl Mmu {
         va: VirtAddr,
         write: bool,
     ) -> Result<AccessOutcome, TpsError> {
-        let mut agg: Option<AccessOutcome> = None;
+        let mut earlier: Option<AccessOutcome> = None;
         loop {
-            let (outcome, writable) = self.access_attempt(os, asid, va, write)?;
-            let merged = match agg.take() {
-                None => outcome,
-                Some(prev) => AccessOutcome {
-                    level: prev.level,
-                    walk_refs: prev.walk_refs + outcome.walk_refs,
-                    alias_extra: prev.alias_extra | outcome.alias_extra,
-                    faults: prev.faults + outcome.faults,
-                    promoted: prev.promoted | outcome.promoted,
-                    ad_updates: prev.ad_updates + outcome.ad_updates,
-                },
-            };
-            if write && !writable {
-                // Protection fault: resolve copy-on-write and retry.
-                let shootdowns = os.handle_cow_fault(asid, va)?;
-                self.apply_shootdowns(&shootdowns);
-                agg = Some(AccessOutcome {
-                    faults: merged.faults + 1,
-                    ..merged
-                });
-                continue;
+            let (mut outcome, writable) = self.access_attempt(os, asid, va, write)?;
+            if let Some(prev) = earlier {
+                // A copy-on-write retry: the access keeps its first level.
+                outcome.level = prev.level;
+                outcome.walk_refs += prev.walk_refs;
+                outcome.alias_extra |= prev.alias_extra;
+                outcome.faults += prev.faults;
+                outcome.ad_updates += prev.ad_updates;
             }
-            return Ok(merged);
+            if !write || writable {
+                return Ok(outcome);
+            }
+            // Protection fault: resolve copy-on-write and retry.
+            let shootdowns = os.handle_cow_fault(asid, va)?;
+            self.apply_shootdowns(&shootdowns);
+            outcome.faults += 1;
+            earlier = Some(outcome);
         }
     }
 
     /// One translation attempt; returns the outcome plus whether the
     /// mapping used permits writes.
+    ///
+    /// Each probe branch yields where the translation came from, the
+    /// translation itself, the faults it took and the leaf to install;
+    /// one tail then fills, verifies and updates the A/D bits.
     fn access_attempt(
         &mut self,
         os: &mut Os,
@@ -203,124 +191,94 @@ impl Mmu {
         va: VirtAddr,
         write: bool,
     ) -> Result<(AccessOutcome, bool), TpsError> {
-        if self.perfect_l1 {
-            let (leaf, faults, promoted) = self.ensure_mapped(os, asid, va, write)?;
-            let writable = leaf.flags.contains(PteFlags::WRITABLE);
-            return Ok((
-                AccessOutcome {
-                    level: AccessLevel::L1,
-                    walk_refs: 0,
-                    alias_extra: false,
-                    faults,
-                    promoted,
-                    ad_updates: 0,
-                },
-                writable,
-            ));
-        }
-
-        if let Some(t) = self.tlb.lookup_l1(asid, va) {
-            if self.verify {
-                self.verify_translation(os, asid, va, t.pfn);
-            }
-            return Ok((
-                AccessOutcome {
-                    level: AccessLevel::L1,
-                    walk_refs: 0,
-                    alias_extra: false,
-                    faults: 0,
-                    promoted: false,
-                    ad_updates: 0,
-                },
-                t.writable,
-            ));
-        }
-
-        if self.perfect_l2 {
-            let (leaf, faults, promoted) = self.ensure_mapped(os, asid, va, write)?;
-            self.tlb.fill_l1(asid, va, &leaf);
-            let ad = u64::from(os.hw_mark_accessed(asid, va, write));
-            return Ok((
-                AccessOutcome {
-                    level: AccessLevel::Stlb,
-                    walk_refs: 0,
-                    alias_extra: false,
-                    faults,
-                    promoted,
-                    ad_updates: ad,
-                },
-                leaf.flags.contains(PteFlags::WRITABLE),
-            ));
-        }
-
-        let attempt = match self.tlb.lookup_l2(asid, va) {
-            L2Hit::Stlb(t) => {
-                // Refill L1 from the (functionally looked-up) leaf: the
-                // hardware already has everything it needs in the entry.
-                let (leaf, faults, promoted) = self.ensure_mapped(os, asid, va, write)?;
-                self.fill_l1(os, asid, va, &leaf);
-                if self.verify {
-                    self.verify_translation(os, asid, va, t.pfn);
+        let mut walk_refs = 0;
+        let mut alias_extra = false;
+        let (level, t, faults, leaf) = if self.perfect_l1 {
+            let (leaf, faults) = self.ensure_mapped(os, asid, va, write)?;
+            (AccessLevel::L1, leaf_translation(va, &leaf), faults, None)
+        } else if let Some(t) = self.tlb.lookup_l1(asid, va) {
+            (AccessLevel::L1, t, 0, None)
+        } else if self.perfect_l2 {
+            let (leaf, faults) = self.ensure_mapped(os, asid, va, write)?;
+            let t = leaf_translation(va, &leaf);
+            (AccessLevel::Stlb, t, faults, Some(leaf))
+        } else {
+            match self.tlb.lookup_l2(asid, va) {
+                L2Hit::Stlb(t) => {
+                    // Refill L1 from the (functionally looked-up) leaf: the
+                    // hardware already has everything it needs in the entry.
+                    let (leaf, faults) = self.ensure_mapped(os, asid, va, write)?;
+                    (AccessLevel::Stlb, t, faults, Some(leaf))
                 }
-                let ad = u64::from(os.hw_mark_accessed(asid, va, write));
-                (
-                    AccessOutcome {
-                        level: AccessLevel::Stlb,
-                        walk_refs: 0,
-                        alias_extra: false,
-                        faults,
-                        promoted,
-                        ad_updates: ad,
-                    },
-                    t.writable,
-                )
-            }
-            L2Hit::Range(t) => {
-                // RMM: construct the 4 KB PTE from the range, no walk.
-                let leaf = LeafInfo {
-                    base: tps_core::PhysAddr::from_pfn(t.pfn),
-                    order: PageOrder::P4K,
-                    flags: if t.writable {
+                L2Hit::Range(t) => {
+                    // RMM: construct the 4 KB PTE from the range, no walk.
+                    let flags = if t.writable {
                         PteFlags::PRESENT | PteFlags::WRITABLE | PteFlags::USER
                     } else {
                         PteFlags::PRESENT | PteFlags::USER
-                    },
-                };
-                self.tlb.fill_l1(asid, va.align_down(12), &leaf);
-                if self.verify {
-                    self.verify_translation(os, asid, va, t.pfn);
+                    };
+                    let leaf = LeafInfo {
+                        base: tps_core::PhysAddr::from_pfn(t.pfn),
+                        order: PageOrder::P4K,
+                        flags,
+                    };
+                    (AccessLevel::Range, t, 0, Some(leaf))
                 }
-                let ad = u64::from(os.hw_mark_accessed(asid, va, write));
-                (
-                    AccessOutcome {
-                        level: AccessLevel::Range,
-                        walk_refs: 0,
-                        alias_extra: false,
-                        faults: 0,
-                        promoted: false,
-                        ad_updates: ad,
-                    },
-                    t.writable,
-                )
+                L2Hit::Miss => {
+                    let (leaf, faults, refs, alias) = self.walk(os, asid, va, write)?;
+                    (walk_refs, alias_extra) = (refs, alias);
+                    let t = leaf_translation(va, &leaf);
+                    (AccessLevel::Walk, t, faults, Some(leaf))
+                }
             }
-            L2Hit::Miss => self.walk_and_fill(os, asid, va, write)?,
         };
-        Ok(attempt)
+
+        if let Some(leaf) = &leaf {
+            if level == AccessLevel::Walk {
+                self.tlb.fill_l2(asid, va, leaf);
+                // RMM refills its Range TLB from the OS range table after
+                // the walk (off the critical path).
+                if self.tlb.has_range_tlb() {
+                    if let Some(range) = os.range_for(asid, va) {
+                        self.tlb.fill_range(range);
+                    }
+                }
+            }
+            self.tlb
+                .fill_l1_with_probe(asid, va, leaf, |upn: u64, order: PageOrder| {
+                    os.probe_mapping_order(asid, upn, order)
+                });
+        }
+        if self.verify {
+            self.verify_translation(os, asid, va, t.pfn);
+        }
+        let ad_updates = if level == AccessLevel::L1 {
+            0
+        } else {
+            u64::from(os.hw_mark_accessed(asid, va, write))
+        };
+        let outcome = AccessOutcome {
+            level,
+            walk_refs,
+            alias_extra,
+            faults,
+            ad_updates,
+        };
+        Ok((outcome, t.writable))
     }
 
-    /// Page walk, handling faults and promotions, then fill all levels.
-    fn walk_and_fill(
+    /// Page walk, taking faults (and their promotions) until it completes.
+    /// Returns the leaf, the faults taken, every page-table reference
+    /// (aborted walks included) and whether the walk ended on an alias PTE.
+    fn walk(
         &mut self,
         os: &mut Os,
         asid: Asid,
         va: VirtAddr,
         write: bool,
-    ) -> Result<(AccessOutcome, bool), TpsError> {
-        let mut walk_refs = 0u64;
+    ) -> Result<(LeafInfo, u32, u64, bool), TpsError> {
         let mut faults = 0u32;
-        let mut promoted = false;
-        let leaf;
-        let alias_extra;
+        let mut walk_refs = 0u64;
         loop {
             let result =
                 self.walker
@@ -328,16 +286,12 @@ impl Mmu {
             match result {
                 Ok(ok) => {
                     walk_refs += self.charge_refs(&ok.refs);
-                    leaf = ok.leaf;
-                    alias_extra = ok.alias_extra;
-                    break;
+                    return Ok((ok.leaf, faults, walk_refs, ok.alias_extra));
                 }
                 Err(fault) => {
                     walk_refs += self.charge_refs(&fault.refs);
-                    let outcome = os.handle_fault(asid, va, write)?;
                     faults += 1;
-                    if outcome.promoted {
-                        promoted = true;
+                    if os.handle_fault(asid, va, write)?.promoted {
                         // Cross-level promotion may free page-table nodes:
                         // the OS flushes the paging-structure caches.
                         self.caches.invalidate_all();
@@ -345,32 +299,6 @@ impl Mmu {
                 }
             }
         }
-        self.tlb.fill_l2(asid, va, &leaf);
-        self.fill_l1(os, asid, va, &leaf);
-        // RMM refills its Range TLB from the OS range table after the walk
-        // (off the critical path).
-        if self.tlb.has_range_tlb() {
-            if let Some(range) = os.range_for(asid, va) {
-                self.tlb.fill_range(range);
-            }
-        }
-        if self.verify {
-            let pfn = leaf.base.base_page_number()
-                + (va.base_page_number() - va.align_down(leaf.order.shift()).base_page_number());
-            self.verify_translation(os, asid, va, pfn);
-        }
-        let ad = u64::from(os.hw_mark_accessed(asid, va, write));
-        Ok((
-            AccessOutcome {
-                level: AccessLevel::Walk,
-                walk_refs,
-                alias_extra,
-                faults,
-                promoted,
-                ad_updates: ad,
-            },
-            leaf.flags.contains(PteFlags::WRITABLE),
-        ))
     }
 
     /// Counts guest refs plus nested (host) amplification when virtualized.
@@ -384,16 +312,6 @@ impl Mmu {
         total
     }
 
-    /// Installs an L1 entry, giving CoLT its PTE-cache-line probe. The
-    /// probe closure is passed as a generic parameter so the per-fill
-    /// neighbor checks inline into the run detection.
-    fn fill_l1(&mut self, os: &Os, asid: Asid, va: VirtAddr, leaf: &LeafInfo) {
-        self.tlb
-            .fill_l1_with_probe(asid, va, leaf, |upn: u64, order: PageOrder| {
-                os.probe_mapping_order(asid, upn, order)
-            });
-    }
-
     fn verify_translation(&self, os: &Os, asid: Asid, va: VirtAddr, pfn: u64) {
         let expect = os
             .page_table(asid)
@@ -404,6 +322,15 @@ impl Mmu {
             pfn, expect,
             "translation mismatch at {va} (asid {asid}): tlb {pfn:#x} vs pt {expect:#x}"
         );
+    }
+}
+
+/// The translation a page-table leaf gives `va`.
+fn leaf_translation(va: VirtAddr, leaf: &LeafInfo) -> Translation {
+    let offset = va.base_page_number() - va.align_down(leaf.order.shift()).base_page_number();
+    Translation {
+        pfn: leaf.base.base_page_number() + offset,
+        writable: leaf.flags.contains(PteFlags::WRITABLE),
     }
 }
 

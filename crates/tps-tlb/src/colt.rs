@@ -218,6 +218,11 @@ impl ColtTlb {
         slot[victim] = (entry, self.clock);
     }
 
+    /// True if no entry is cached.
+    pub fn is_empty(&self) -> bool {
+        self.entries.iter().all(Vec::is_empty)
+    }
+
     /// Average pages per filled entry (the achieved coalescing factor).
     pub fn mean_run_len(&self) -> f64 {
         if self.fills == 0 {

@@ -1,11 +1,11 @@
 //! The two-level TLB hierarchy under its four studied organizations.
 //!
-//! | Kind       | L1                                   | L2                              |
-//! |------------|--------------------------------------|---------------------------------|
-//! | `Baseline` | 64e 4K SA + 32e 2M + 4e 1G           | 1536e dual 4K/2M + 16e 1G       |
-//! | `Tps`      | 64e 4K SA + **32e any-size (mask)**  | any-size (same capacity)        |
-//! | `Colt`     | 64e coalesced 4K SA + 32e 2M + 4e 1G | 1536e dual 4K/2M + 16e 1G       |
-//! | `Rmm`      | as Baseline                          | as Baseline + **32e Range TLB** |
+//! | Kind       | L1                                          | L2                              |
+//! |------------|---------------------------------------------|---------------------------------|
+//! | `Baseline` | 64e 4K SA + 32e 2M + 4e 1G                  | 1536e dual 4K/2M + 16e 1G       |
+//! | `Tps`      | 64e 4K SA + **32e any-size (mask)**         | any-size (same capacity)        |
+//! | `Colt`     | 64e coalesced 4K + 32e coalesced 2M + 4e 1G | 1536e dual 4K/2M + 16e 1G       |
+//! | `Rmm`      | as Baseline                                 | as Baseline + **32e Range TLB** |
 //!
 //! Capacities follow Table I / §III-A2 of the paper. The TPS-mode STLB is
 //! modeled as a fully-associative any-size structure of the baseline STLB's
@@ -19,7 +19,7 @@ use crate::entry::{Asid, TlbEntry};
 use crate::range_tlb::{RangeEntry, RangeTlb};
 use crate::set_assoc::SetAssocTlb;
 use crate::skewed::SkewedTlb;
-use tps_core::{InjectorHandle, LeafInfo, PageOrder, PteFlags, VirtAddr};
+use tps_core::{InjectorHandle, LeafInfo, PageOrder, VirtAddr};
 
 /// Which TLB organization to build.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Default)]
@@ -116,10 +116,11 @@ pub enum L2Hit {
     Miss,
 }
 
-/// Hit/miss counters of the hierarchy.
+/// Hit/miss counters of translated accesses. The simulator keeps one
+/// set per thread, recording each access once from its outcome.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct TlbStats {
-    /// L1 lookups performed (= memory accesses translated).
+    /// Memory accesses translated.
     pub accesses: u64,
     /// L1 hits.
     pub l1_hits: u64,
@@ -173,7 +174,74 @@ impl TlbFaultStats {
     }
 }
 
+/// One TLB structure of a level list.
+#[derive(Clone, Debug)]
+enum Structure {
+    SetAssoc(SetAssocTlb),
+    Colt(ColtTlb),
+    AnySize(AnySizeTlb),
+    Skewed(SkewedTlb),
+    Dual(DualStlb),
+    Range(RangeTlb),
+}
+
+/// Runs `$body` on whichever structure `$tlb` holds, bound as `$t`: the one
+/// `match` that the operations every structure shares dispatch through.
+macro_rules! each_structure {
+    ($tlb:expr, $t:ident => $body:expr) => {
+        match $tlb {
+            Structure::SetAssoc($t) => $body,
+            Structure::Colt($t) => $body,
+            Structure::AnySize($t) => $body,
+            Structure::Skewed($t) => $body,
+            Structure::Dual($t) => $body,
+            Structure::Range($t) => $body,
+        }
+    };
+}
+
+/// A structure plus the page orders it is filled with, one bit per
+/// order. A fill goes to the first structure of its list that holds the
+/// leaf's order; the Range TLB caches ranges and holds no page order.
+#[derive(Clone, Debug)]
+struct Level {
+    tlb: Structure,
+    orders: u32,
+}
+
+impl Level {
+    fn new(tlb: Structure, orders: &[PageOrder]) -> Self {
+        let orders = orders.iter().fold(0, |bits, o| bits | 1 << o.get());
+        Level { tlb, orders }
+    }
+
+    /// A structure that holds every page order (the TPS any-size TLBs).
+    fn any(tlb: Structure) -> Self {
+        Level {
+            tlb,
+            orders: u32::MAX,
+        }
+    }
+
+    fn holds(&self, order: PageOrder) -> bool {
+        self.orders >> order.get() & 1 != 0
+    }
+
+    // Inlined into each probe loop, so the L1 and L2 loops each get a
+    // dispatch branch of their own that predicts on its own history.
+    #[inline(always)]
+    fn lookup(&mut self, asid: Asid, vpn: u64) -> Option<Translation> {
+        each_structure!(&mut self.tlb, t => t.lookup(asid, vpn).map(|e| Translation {
+            pfn: e.translate(vpn),
+            writable: e.writable,
+        }))
+    }
+}
+
 /// The full two-level TLB hierarchy of one core.
+///
+/// Each level is a list of structures built once per [`HierarchyKind`],
+/// in probe order; every operation is one loop over the lists.
 ///
 /// The hierarchy performs lookups and fills; *when* to fill which level is
 /// orchestrated by the simulator's MMU so walk/fault interleaving is modeled
@@ -181,42 +249,71 @@ impl TlbFaultStats {
 #[derive(Clone, Debug)]
 pub struct TlbHierarchy {
     kind: HierarchyKind,
-    l1_4k: SetAssocTlb,
-    colt_l1: Option<ColtTlb>,
-    colt_l1_2m: Option<ColtTlb>,
-    l1_2m: Option<AnySizeTlb>,
-    l1_1g: Option<AnySizeTlb>,
-    tps_l1: Option<AnySizeTlb>,
-    tps_l1_skewed: Option<SkewedTlb>,
-    stlb: Option<DualStlb>,
-    stlb_1g: Option<AnySizeTlb>,
-    tps_stlb: Option<AnySizeTlb>,
-    range: Option<RangeTlb>,
-    stats: TlbStats,
+    l1: Vec<Level>,
+    l2: Vec<Level>,
+    /// Set once a fault injector is installed; until then every fault
+    /// counter is zero, so [`Self::fault_stats`] skips the scan.
+    injected: bool,
 }
 
 impl TlbHierarchy {
     /// Builds a hierarchy from a configuration.
     pub fn new(config: TlbConfig) -> Self {
-        let kind = config.kind;
-        let tps = kind == HierarchyKind::Tps;
+        let (p4k, p2m, p1g) = (PageOrder::P4K, PageOrder::P2M, PageOrder::P1G);
+        let any_size = |entries, orders: &[PageOrder]| {
+            Level::new(Structure::AnySize(AnySizeTlb::new(entries)), orders)
+        };
+        let l1_4k = || {
+            let t = SetAssocTlb::new(config.l1_4k_sets, config.l1_4k_ways, p4k);
+            Level::new(Structure::SetAssoc(t), &[p4k])
+        };
+        let conventional_l1 = || {
+            vec![
+                l1_4k(),
+                any_size(config.l1_2m_entries, &[p2m]),
+                any_size(config.l1_1g_entries, &[p1g]),
+            ]
+        };
+        let stlb = || {
+            let dual = DualStlb::new(config.stlb_sets, config.stlb_ways);
+            vec![
+                Level::new(Structure::Dual(dual), &[p4k, p2m]),
+                any_size(config.stlb_1g_entries, &[p1g]),
+            ]
+        };
+        let (l1, l2) = match config.kind {
+            HierarchyKind::Baseline => (conventional_l1(), stlb()),
+            HierarchyKind::Rmm => {
+                let mut l2 = stlb();
+                let range = RangeTlb::new(config.range_tlb_entries);
+                l2.push(Level::new(Structure::Range(range), &[]));
+                (conventional_l1(), l2)
+            }
+            HierarchyKind::Colt => {
+                let colt_4k = ColtTlb::new(config.l1_4k_sets, config.l1_4k_ways, p4k);
+                let colt_2m = ColtTlb::new(8, config.l1_2m_entries / 8, p2m);
+                let l1 = vec![
+                    Level::new(Structure::Colt(colt_4k), &[p4k]),
+                    Level::new(Structure::Colt(colt_2m), &[p2m]),
+                    any_size(config.l1_1g_entries, &[p1g]),
+                ];
+                (l1, stlb())
+            }
+            HierarchyKind::Tps => {
+                let any = if config.tps_l1_skewed {
+                    Structure::Skewed(SkewedTlb::new((config.tps_l1_entries / 4).max(1)))
+                } else {
+                    Structure::AnySize(AnySizeTlb::new(config.tps_l1_entries))
+                };
+                let stlb = Structure::AnySize(AnySizeTlb::new(config.tps_stlb_entries));
+                (vec![l1_4k(), Level::any(any)], vec![Level::any(stlb)])
+            }
+        };
         TlbHierarchy {
-            kind,
-            l1_4k: SetAssocTlb::new(config.l1_4k_sets, config.l1_4k_ways, PageOrder::P4K),
-            colt_l1: (kind == HierarchyKind::Colt)
-                .then(|| ColtTlb::new(config.l1_4k_sets, config.l1_4k_ways, PageOrder::P4K)),
-            colt_l1_2m: (kind == HierarchyKind::Colt)
-                .then(|| ColtTlb::new(8, config.l1_2m_entries / 8, PageOrder::P2M)),
-            l1_2m: (!tps).then(|| AnySizeTlb::new(config.l1_2m_entries)),
-            l1_1g: (!tps).then(|| AnySizeTlb::new(config.l1_1g_entries)),
-            tps_l1: (tps && !config.tps_l1_skewed).then(|| AnySizeTlb::new(config.tps_l1_entries)),
-            tps_l1_skewed: (tps && config.tps_l1_skewed)
-                .then(|| SkewedTlb::new((config.tps_l1_entries / 4).max(1))),
-            stlb: (!tps).then(|| DualStlb::new(config.stlb_sets, config.stlb_ways)),
-            stlb_1g: (!tps).then(|| AnySizeTlb::new(config.stlb_1g_entries)),
-            tps_stlb: tps.then(|| AnySizeTlb::new(config.tps_stlb_entries)),
-            range: (kind == HierarchyKind::Rmm).then(|| RangeTlb::new(config.range_tlb_entries)),
-            stats: TlbStats::default(),
+            kind: config.kind,
+            l1,
+            l2,
+            injected: false,
         }
     }
 
@@ -225,90 +322,34 @@ impl TlbHierarchy {
         self.kind
     }
 
-    /// Probes the L1 structures for one access. Counts the access.
+    /// Probes the L1 structures for one access.
     pub fn lookup_l1(&mut self, asid: Asid, va: VirtAddr) -> Option<Translation> {
-        self.stats.accesses += 1;
         let vpn = va.base_page_number();
-        let hit = self.probe_l1(asid, vpn);
-        if hit.is_some() {
-            self.stats.l1_hits += 1;
-        }
-        hit
+        self.l1.iter_mut().find_map(|level| level.lookup(asid, vpn))
     }
 
-    fn probe_l1(&mut self, asid: Asid, vpn: u64) -> Option<Translation> {
-        if self.colt_l1.is_some() {
-            for colt in [&mut self.colt_l1, &mut self.colt_l1_2m]
-                .into_iter()
-                .flatten()
-            {
-                if let Some(e) = colt.lookup(asid, vpn) {
-                    return Some(Translation {
-                        pfn: e.translate(vpn),
-                        writable: e.writable,
-                    });
-                }
-            }
-        } else if let Some(e) = self.l1_4k.lookup(asid, vpn) {
-            return Some(Translation {
-                pfn: e.translate(vpn),
-                writable: e.writable,
-            });
-        }
-        for tlb in [&mut self.tps_l1, &mut self.l1_2m, &mut self.l1_1g]
-            .into_iter()
-            .flatten()
-        {
-            if let Some(e) = tlb.lookup(asid, vpn) {
-                return Some(Translation {
-                    pfn: e.translate(vpn),
-                    writable: e.writable,
-                });
-            }
-        }
-        if let Some(t) = &mut self.tps_l1_skewed {
-            if let Some(e) = t.lookup(asid, vpn) {
-                return Some(Translation {
-                    pfn: e.translate(vpn),
-                    writable: e.writable,
-                });
-            }
-        }
-        None
-    }
-
-    /// Probes the L2 structures (STLB — and, under RMM, the Range TLB in
-    /// parallel). Counts hits/misses.
+    /// Probes the L2 structures: the STLB, then (RMM only) the Range TLB.
     pub fn lookup_l2(&mut self, asid: Asid, va: VirtAddr) -> L2Hit {
         let vpn = va.base_page_number();
-        let stlb_hit = self
-            .stlb
-            .as_mut()
-            .and_then(|s| s.lookup(asid, vpn))
-            .or_else(|| self.stlb_1g.as_mut().and_then(|s| s.lookup(asid, vpn)))
-            .or_else(|| self.tps_stlb.as_mut().and_then(|s| s.lookup(asid, vpn)));
-        if let Some(e) = stlb_hit {
-            self.stats.stlb_hits += 1;
-            return L2Hit::Stlb(Translation {
-                pfn: e.translate(vpn),
-                writable: e.writable,
-            });
-        }
-        if let Some(range) = &mut self.range {
-            if let Some(r) = range.lookup(asid, vpn) {
-                self.stats.range_hits += 1;
-                return L2Hit::Range(Translation {
-                    pfn: r.translate(vpn),
-                    writable: r.writable,
-                });
+        for level in &mut self.l2 {
+            if let Some(t) = level.lookup(asid, vpn) {
+                return if matches!(level.tlb, Structure::Range(_)) {
+                    L2Hit::Range(t)
+                } else {
+                    L2Hit::Stlb(t)
+                };
             }
         }
-        self.stats.l2_misses += 1;
         L2Hit::Miss
     }
 
     /// Installs a walked leaf into the appropriate L1 structure with no
     /// contiguity information: CoLT fills degrade to single-page runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no L1 structure of this organization holds the leaf's
+    /// page order.
     pub fn fill_l1(&mut self, asid: Asid, va: VirtAddr, leaf: &LeafInfo) {
         self.fill_l1_with_probe(asid, va, leaf, |_, _| None);
     }
@@ -326,178 +367,59 @@ impl TlbHierarchy {
         leaf: &LeafInfo,
         contiguity: impl Fn(u64, PageOrder) -> Option<(u64, bool)>,
     ) {
-        let entry = TlbEntry::from_leaf(asid, va, leaf);
-        match self.kind {
-            HierarchyKind::Tps => {
-                if entry.order == PageOrder::P4K {
-                    self.l1_4k.fill(entry);
-                } else if let Some(t) = &mut self.tps_l1 {
-                    t.fill(entry);
-                } else {
-                    self.tps_l1_skewed
-                        .as_mut()
-                        .expect("a TPS L1 structure exists")
-                        .fill(entry);
-                }
-            }
-            HierarchyKind::Colt => {
-                let g = entry.order;
-                if g == PageOrder::P4K || g == PageOrder::P2M {
-                    let upn = va.base_page_number() >> g.get();
-                    let ufn = entry.pfn >> g.get();
-                    let writable = leaf.flags.contains(PteFlags::WRITABLE);
-                    let run = detect_run(asid, g, upn, ufn, writable, |u| contiguity(u, g));
-                    if g == PageOrder::P4K {
-                        self.colt_l1.as_mut().expect("CoLT 4K L1 exists").fill(run);
-                    } else {
-                        self.colt_l1_2m
-                            .as_mut()
-                            .expect("CoLT 2M L1 exists")
-                            .fill(run);
-                    }
-                } else {
-                    self.fill_l1_conventional_large(entry);
-                }
-            }
-            HierarchyKind::Baseline | HierarchyKind::Rmm => {
-                if entry.order == PageOrder::P4K {
-                    self.l1_4k.fill(entry);
-                } else {
-                    self.fill_l1_conventional_large(entry);
-                }
-            }
-        }
-    }
-
-    fn fill_l1_conventional_large(&mut self, entry: TlbEntry) {
-        match entry.order {
-            PageOrder::P2M => self.l1_2m.as_mut().expect("2M L1 exists").fill(entry),
-            PageOrder::P1G => self.l1_1g.as_mut().expect("1G L1 exists").fill(entry),
-            other => panic!("conventional hierarchy cannot hold a {other} page"),
-        }
+        let kind = self.kind;
+        fill(&mut self.l1, kind, asid, va, leaf, contiguity);
     }
 
     /// Installs a walked leaf into the L2 level.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no L2 structure of this organization holds the leaf's
+    /// page order.
     pub fn fill_l2(&mut self, asid: Asid, va: VirtAddr, leaf: &LeafInfo) {
-        let entry = TlbEntry::from_leaf(asid, va, leaf);
-        if let Some(stlb) = &mut self.tps_stlb {
-            stlb.fill(entry);
-            return;
-        }
-        match entry.order {
-            PageOrder::P4K | PageOrder::P2M => {
-                self.stlb.as_mut().expect("dual STLB exists").fill(entry)
-            }
-            PageOrder::P1G => self.stlb_1g.as_mut().expect("1G STLB exists").fill(entry),
-            other => panic!("conventional STLB cannot hold a {other} page"),
-        }
+        let kind = self.kind;
+        fill(&mut self.l2, kind, asid, va, leaf, |_, _| None);
     }
 
     /// Installs a range into the Range TLB (no-op unless RMM).
     pub fn fill_range(&mut self, entry: RangeEntry) {
-        if let Some(range) = &mut self.range {
-            range.fill(entry);
+        for level in &mut self.l2 {
+            if let Structure::Range(t) = &mut level.tlb {
+                t.fill(entry);
+            }
         }
     }
 
     /// True if this hierarchy has a Range TLB (i.e. is RMM).
     pub fn has_range_tlb(&self) -> bool {
-        self.range.is_some()
+        self.l2
+            .iter()
+            .any(|level| matches!(level.tlb, Structure::Range(_)))
+    }
+
+    fn levels_mut(&mut self) -> impl Iterator<Item = &mut Level> {
+        self.l1.iter_mut().chain(&mut self.l2)
     }
 
     /// Shoots down all cached translations overlapping a page.
     pub fn invalidate_page(&mut self, asid: Asid, va: VirtAddr, order: PageOrder) {
-        self.l1_4k.invalidate(asid, va, order);
-        for t in [&mut self.colt_l1, &mut self.colt_l1_2m]
-            .into_iter()
-            .flatten()
-        {
-            t.invalidate(asid, va, order);
-        }
-        for t in [&mut self.l1_2m, &mut self.l1_1g, &mut self.tps_l1]
-            .into_iter()
-            .flatten()
-        {
-            t.invalidate(asid, va, order);
-        }
-        if let Some(t) = &mut self.tps_l1_skewed {
-            t.invalidate(asid, va, order);
-        }
-        if let Some(t) = &mut self.stlb {
-            t.invalidate(asid, va, order);
-        }
-        for t in [&mut self.stlb_1g, &mut self.tps_stlb]
-            .into_iter()
-            .flatten()
-        {
-            t.invalidate(asid, va, order);
-        }
-        if let Some(t) = &mut self.range {
-            t.invalidate(asid, va, order);
+        for level in self.levels_mut() {
+            each_structure!(&mut level.tlb, t => t.invalidate(asid, va, order));
         }
     }
 
     /// Removes every cached translation of an ASID.
     pub fn invalidate_asid(&mut self, asid: Asid) {
-        self.l1_4k.invalidate_asid(asid);
-        for t in [&mut self.colt_l1, &mut self.colt_l1_2m]
-            .into_iter()
-            .flatten()
-        {
-            t.invalidate_asid(asid);
-        }
-        for t in [&mut self.l1_2m, &mut self.l1_1g, &mut self.tps_l1]
-            .into_iter()
-            .flatten()
-        {
-            t.invalidate_asid(asid);
-        }
-        if let Some(t) = &mut self.tps_l1_skewed {
-            t.invalidate_asid(asid);
-        }
-        if let Some(t) = &mut self.stlb {
-            t.invalidate_asid(asid);
-        }
-        for t in [&mut self.stlb_1g, &mut self.tps_stlb]
-            .into_iter()
-            .flatten()
-        {
-            t.invalidate_asid(asid);
-        }
-        if let Some(t) = &mut self.range {
-            t.invalidate_asid(asid);
+        for level in self.levels_mut() {
+            each_structure!(&mut level.tlb, t => t.invalidate_asid(asid));
         }
     }
 
     /// Flushes everything.
     pub fn flush(&mut self) {
-        self.l1_4k.flush();
-        for t in [&mut self.colt_l1, &mut self.colt_l1_2m]
-            .into_iter()
-            .flatten()
-        {
-            t.flush();
-        }
-        for t in [&mut self.l1_2m, &mut self.l1_1g, &mut self.tps_l1]
-            .into_iter()
-            .flatten()
-        {
-            t.flush();
-        }
-        if let Some(t) = &mut self.tps_l1_skewed {
-            t.flush();
-        }
-        if let Some(t) = &mut self.stlb {
-            t.flush();
-        }
-        for t in [&mut self.stlb_1g, &mut self.tps_stlb]
-            .into_iter()
-            .flatten()
-        {
-            t.flush();
-        }
-        if let Some(t) = &mut self.range {
-            t.flush();
+        for level in self.levels_mut() {
+            each_structure!(&mut level.tlb, t => t.flush());
         }
     }
 
@@ -506,20 +428,16 @@ impl TlbHierarchy {
     /// the dual STLB (probe site). The set-associative, CoLT, skewed and
     /// range structures are not instrumented.
     pub fn set_fault_injector(&mut self, injector: Option<InjectorHandle>) {
-        for t in [
-            &mut self.l1_2m,
-            &mut self.l1_1g,
-            &mut self.tps_l1,
-            &mut self.stlb_1g,
-            &mut self.tps_stlb,
-        ]
-        .into_iter()
-        .flatten()
-        {
-            t.set_fault_injector(injector.clone());
-        }
-        if let Some(s) = &mut self.stlb {
-            s.set_fault_injector(injector);
+        self.injected |= injector.is_some();
+        for level in self.levels_mut() {
+            match &mut level.tlb {
+                Structure::AnySize(t) => t.set_fault_injector(injector.clone()),
+                Structure::Dual(t) => t.set_fault_injector(injector.clone()),
+                Structure::SetAssoc(_)
+                | Structure::Colt(_)
+                | Structure::Skewed(_)
+                | Structure::Range(_) => {}
+            }
         }
     }
 
@@ -527,46 +445,74 @@ impl TlbHierarchy {
     /// instrumented structures.
     pub fn fault_stats(&self) -> TlbFaultStats {
         let mut out = TlbFaultStats::default();
-        for t in [
-            &self.l1_2m,
-            &self.l1_1g,
-            &self.tps_l1,
-            &self.stlb_1g,
-            &self.tps_stlb,
-        ]
-        .into_iter()
-        .flatten()
-        {
-            out.fill_drops += t.fill_drops();
-            out.evict_abandons += t.evict_abandons();
+        if !self.injected {
+            return out;
         }
-        if let Some(s) = &self.stlb {
-            out.stlb_probe_misses += s.probe_misses();
+        for level in self.l1.iter().chain(&self.l2) {
+            match &level.tlb {
+                Structure::AnySize(t) => {
+                    out.fill_drops += t.fill_drops();
+                    out.evict_abandons += t.evict_abandons();
+                }
+                Structure::Dual(t) => out.stlb_probe_misses += t.probe_misses(),
+                Structure::SetAssoc(_)
+                | Structure::Colt(_)
+                | Structure::Skewed(_)
+                | Structure::Range(_) => {}
+            }
         }
         out
     }
 
-    /// Current counters.
-    pub fn stats(&self) -> TlbStats {
-        self.stats
-    }
-
-    /// Resets counters (not contents) — used after warmup.
-    pub fn reset_stats(&mut self) {
-        self.stats = TlbStats::default();
-    }
-
-    /// Mean CoLT run length (1.0 for other organizations).
+    /// Mean CoLT run length of the 4 KB L1 (1.0 for other organizations).
     pub fn colt_mean_run_len(&self) -> f64 {
-        self.colt_l1.as_ref().map_or(1.0, ColtTlb::mean_run_len)
+        self.l1
+            .iter()
+            .find_map(|level| match &level.tlb {
+                Structure::Colt(t) => Some(t.mean_run_len()),
+                _ => None,
+            })
+            .unwrap_or(1.0)
+    }
+}
+
+/// Installs a leaf into the first structure of `levels` that holds its
+/// order, running CoLT's run detection when that structure coalesces.
+fn fill(
+    levels: &mut [Level],
+    kind: HierarchyKind,
+    asid: Asid,
+    va: VirtAddr,
+    leaf: &LeafInfo,
+    contiguity: impl Fn(u64, PageOrder) -> Option<(u64, bool)>,
+) {
+    let order = leaf.order;
+    let Some(level) = levels.iter_mut().find(|level| level.holds(order)) else {
+        panic!("the {kind:?} TLB level cannot hold a {order} page");
+    };
+    let entry = TlbEntry::from_leaf(asid, va, leaf);
+    match &mut level.tlb {
+        Structure::Colt(t) => {
+            let g = order.get();
+            let upn = va.base_page_number() >> g;
+            let run = detect_run(asid, order, upn, entry.pfn >> g, entry.writable, |u| {
+                contiguity(u, order)
+            });
+            t.fill(run);
+        }
+        Structure::SetAssoc(t) => t.fill(entry),
+        Structure::AnySize(t) => t.fill(entry),
+        Structure::Skewed(t) => t.fill(entry),
+        Structure::Dual(t) => t.fill(entry),
+        Structure::Range(_) => unreachable!("the Range TLB holds no page order"),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tps_core::PhysAddr;
-    use tps_core::GIB;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use tps_core::{PhysAddr, PteFlags, BASE_PAGE_SIZE, GIB, MAX_PAGE_ORDER};
 
     fn leaf(pa: u64, order: u8) -> LeafInfo {
         LeafInfo {
@@ -576,21 +522,87 @@ mod tests {
         }
     }
 
+    fn is_empty(h: &TlbHierarchy) -> bool {
+        let mut levels = h.l1.iter().chain(&h.l2);
+        levels.all(|level| each_structure!(&level.tlb, t => t.is_empty()))
+    }
+
+    /// Every organization: each order it accepts fills and hits at both
+    /// levels, each shootdown empties every structure, and an order it
+    /// cannot hold panics.
     #[test]
-    fn baseline_miss_fill_hit_cycle() {
-        let mut h = TlbHierarchy::new(TlbConfig::default());
-        let va = VirtAddr::new(0x1234_5000);
-        assert!(h.lookup_l1(0, va).is_none());
-        assert_eq!(h.lookup_l2(0, va), L2Hit::Miss);
-        let l = leaf(0x8000_0000, 0);
-        h.fill_l1(0, va, &l);
-        h.fill_l2(0, va, &l);
-        let t = h.lookup_l1(0, va).unwrap();
-        assert_eq!(t.pfn, 0x8000_0000 >> 12);
-        let s = h.stats();
-        assert_eq!(s.accesses, 2);
-        assert_eq!(s.l1_hits, 1);
-        assert_eq!(s.l2_misses, 1);
+    fn every_organization_fills_hits_and_shoots_down() {
+        let conventional = [PageOrder::P4K, PageOrder::P2M, PageOrder::P1G].map(PageOrder::get);
+        let every: Vec<u8> = (0..=MAX_PAGE_ORDER).collect();
+        // The skewed TLB's largest size class tops out at 1 GB: bigger
+        // pages alias across its sets (see `skewed.rs`).
+        let up_to_1g = &every[..=usize::from(PageOrder::P1G.get())];
+        let cases: [(HierarchyKind, bool, &[u8], Option<u8>); 5] = [
+            (HierarchyKind::Baseline, false, &conventional, Some(3)),
+            (HierarchyKind::Tps, false, &every, None),
+            (HierarchyKind::Tps, true, up_to_1g, None),
+            (HierarchyKind::Colt, false, &conventional, Some(3)),
+            (HierarchyKind::Rmm, false, &conventional, Some(3)),
+        ];
+        // Aligned for every order up to MAX_PAGE_ORDER.
+        let va = VirtAddr::new(1024 * GIB);
+        let pa = 64 * GIB;
+        for (kind, skewed, orders, rejected) in cases {
+            let mut config = TlbConfig::with_kind(kind);
+            config.tps_l1_skewed = skewed;
+            for &order in orders {
+                let case = format!("{kind:?} skewed={skewed} order {order}");
+                let l = leaf(pa, order);
+                let mut h = TlbHierarchy::new(config);
+                let fill = |h: &mut TlbHierarchy| {
+                    h.fill_l1(1, va, &l);
+                    h.fill_l2(1, va, &l);
+                    h.fill_range(RangeEntry {
+                        asid: 1,
+                        start_vpn: va.base_page_number(),
+                        end_vpn: va.base_page_number() + 1,
+                        delta: 0,
+                        writable: true,
+                    });
+                };
+                assert!(h.lookup_l1(1, va).is_none(), "{case}");
+                assert_eq!(h.lookup_l2(1, va), L2Hit::Miss, "{case}");
+                fill(&mut h);
+                // The last base page of the page hits the single entry.
+                let last = va + (l.order.bytes() - BASE_PAGE_SIZE);
+                let expect = Translation {
+                    pfn: l.base.base_page_number() + l.order.base_pages() - 1,
+                    writable: true,
+                };
+                assert_eq!(h.lookup_l1(1, last), Some(expect), "{case}");
+                assert_eq!(h.lookup_l2(1, last), L2Hit::Stlb(expect), "{case}");
+                assert!(h.lookup_l1(2, va).is_none(), "{case}: ASID isolation");
+                h.invalidate_asid(2);
+                assert!(h.lookup_l1(1, va).is_some(), "{case}: other ASID kept");
+
+                h.invalidate_page(1, va, l.order);
+                assert!(is_empty(&h), "{case}: invalidate_page");
+                fill(&mut h);
+                h.invalidate_asid(1);
+                assert!(is_empty(&h), "{case}: invalidate_asid");
+                fill(&mut h);
+                h.flush();
+                assert!(is_empty(&h), "{case}: flush");
+            }
+            if let Some(order) = rejected {
+                let fills: [fn(&mut TlbHierarchy, &LeafInfo); 2] = [
+                    |h, l| h.fill_l1(0, VirtAddr::new(0), l),
+                    |h, l| h.fill_l2(0, VirtAddr::new(0), l),
+                ];
+                for fill in fills {
+                    let mut h = TlbHierarchy::new(config);
+                    let err = catch_unwind(AssertUnwindSafe(|| fill(&mut h, &leaf(0, order))))
+                        .expect_err("an order the kind cannot hold must panic");
+                    let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+                    assert!(msg.contains("cannot hold"), "{kind:?}: {msg}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -607,27 +619,6 @@ mod tests {
         let va0 = VirtAddr::new(0);
         assert!(h.lookup_l1(0, va0).is_none());
         assert!(matches!(h.lookup_l2(0, va0), L2Hit::Stlb(_)));
-    }
-
-    #[test]
-    fn tps_hierarchy_accepts_tailored_sizes() {
-        let mut h = TlbHierarchy::new(TlbConfig::with_kind(HierarchyKind::Tps));
-        let va = VirtAddr::new(GIB);
-        let l = leaf(GIB, 14); // 64 MB tailored page
-        h.fill_l1(0, va, &l);
-        h.fill_l2(0, va, &l);
-        // Anywhere within 64 MB hits the single TPS entry.
-        let deep = VirtAddr::new(GIB + (63 << 20));
-        let t = h.lookup_l1(0, deep).unwrap();
-        assert_eq!(t.pfn, deep.base_page_number());
-        assert_eq!(h.stats().l1_hits, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot hold")]
-    fn baseline_rejects_tailored_fill() {
-        let mut h = TlbHierarchy::new(TlbConfig::default());
-        h.fill_l1(0, VirtAddr::new(0), &leaf(0, 3));
     }
 
     #[test]
@@ -660,7 +651,6 @@ mod tests {
             L2Hit::Range(t) => assert_eq!(t.pfn, 0x8765 + 0x5000),
             other => panic!("expected range hit, got {other:?}"),
         }
-        assert_eq!(h.stats().range_hits, 1);
     }
 
     #[test]
@@ -678,49 +668,28 @@ mod tests {
     }
 
     #[test]
-    fn shootdown_reaches_every_level() {
+    fn fault_stats_count_injected_degradations() {
+        use tps_core::{FaultPlan, FaultPlanConfig};
         let mut h = TlbHierarchy::new(TlbConfig::default());
-        let va = VirtAddr::new(0x7000);
-        let l = leaf(0x9000, 0);
-        h.fill_l1(0, va, &l);
-        h.fill_l2(0, va, &l);
-        h.invalidate_page(0, va, PageOrder::P4K);
-        assert!(h.lookup_l1(0, va).is_none());
-        assert_eq!(h.lookup_l2(0, va), L2Hit::Miss);
-    }
-
-    #[test]
-    fn asid_isolation_across_hierarchy() {
-        let mut h = TlbHierarchy::new(TlbConfig::with_kind(HierarchyKind::Tps));
         let va = VirtAddr::new(GIB);
-        let l = leaf(GIB, 10);
-        h.fill_l1(1, va, &l);
-        assert!(h.lookup_l1(2, va).is_none());
-        assert!(h.lookup_l1(1, va).is_some());
-        h.invalidate_asid(1);
-        assert!(h.lookup_l1(1, va).is_none());
-    }
-
-    #[test]
-    fn skewed_tps_l1_serves_tailored_sizes() {
-        let mut config = TlbConfig::with_kind(HierarchyKind::Tps);
-        config.tps_l1_skewed = true;
-        let mut h = TlbHierarchy::new(config);
-        let va = VirtAddr::new(GIB);
-        let l = leaf(GIB, 14);
+        let l = leaf(GIB, 9);
         h.fill_l1(0, va, &l);
-        assert!(h.lookup_l1(0, VirtAddr::new(GIB + (63 << 20))).is_some());
-        h.invalidate_page(0, va, PageOrder::new(14).unwrap());
-        assert!(h.lookup_l1(0, va).is_none());
-    }
-
-    #[test]
-    fn stats_reset() {
-        let mut h = TlbHierarchy::new(TlbConfig::default());
-        h.lookup_l1(0, VirtAddr::new(0));
-        assert_eq!(h.stats().accesses, 1);
-        h.reset_stats();
-        assert_eq!(h.stats().accesses, 0);
+        assert_eq!(h.fault_stats(), TlbFaultStats::default());
+        let (handle, _plan) = FaultPlan::handles(FaultPlanConfig {
+            any_size_fill: 1.0,
+            stlb_probe: 1.0,
+            ..FaultPlanConfig::disabled(7)
+        });
+        h.set_fault_injector(Some(handle));
+        h.fill_l1(0, va, &l); // the 2 MB any-size L1 drops it
+        assert_eq!(h.lookup_l2(0, va), L2Hit::Miss); // forced probe miss
+                                                     // Removing the injector keeps what it already injected.
+        h.set_fault_injector(None);
+        let s = h.fault_stats();
+        assert_eq!(
+            (s.fill_drops, s.evict_abandons, s.stlb_probe_misses),
+            (1, 0, 1)
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! * [`ColtTlb`] / [`detect_run`] — CoLT-SA coalesced TLB baseline.
 //! * [`RangeTlb`] — the RMM Range TLB baseline (L2-level range cache).
 //! * [`TlbHierarchy`] — the assembled two-level hierarchy in all four
-//!   organizations, with hit/miss statistics.
+//!   organizations, each built as one list of structures per level.
 //!
 //! # Example
 //!

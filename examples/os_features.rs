@@ -157,7 +157,7 @@ fn trace_demo() {
     let counters = m3.counters(0);
     println!(
         "  hand-written trace: {} accesses, {} in measured region",
-        counters.full.accesses, counters.measured.accesses
+        counters.full.mem.accesses, counters.measured.mem.accesses
     );
     let _ = Event::StatsBarrier; // (the `B` line above)
 }

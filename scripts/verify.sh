@@ -145,6 +145,22 @@ set -e
 cmp "$tmpdir/cap-t1.json" "$tmpdir/cap-resumed.json" \
     || { echo "verify: capped-tenant resume differs from the uninterrupted run" >&2; exit 1; }
 
+echo "==> simbench pinned-seed gate (counters identical to simbench/expected)"
+# One short run per benchmark workload at the pinned seed. simbench checks
+# every per-cell and per-tenant counter against simbench/expected/<W>.txt
+# and prints its verdict on the last line, so a change that shifts a
+# simulated result fails here even though it shifts every run of the
+# commit alike.
+cargo test --release -q --manifest-path simbench/Cargo.toml
+for workload in suite-tps suite-base graph500 tenants64; do
+    last="$(cargo run --release --quiet --manifest-path simbench/Cargo.toml -- \
+        --workload "$workload" --seconds 1 --trace 0 | tail -n 1)"
+    case "$last" in
+        *'"correct": true'*'"failed": 0,'*) ;;
+        *) echo "verify: simbench $workload failed its pinned-seed check: $last" >&2; exit 1 ;;
+    esac
+done
+
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 

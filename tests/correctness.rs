@@ -192,7 +192,7 @@ fn step_api_supports_custom_driving() {
             )
             .expect("scripted event is well-formed");
     }
-    assert_eq!(machine.counters(0).full.accesses, 256);
+    assert_eq!(machine.counters(0).full.mem.accesses, 256);
     // The full region is touched: TPS promoted it to a single 1 MB page.
     let census = machine.os().process(0).page_table().page_census();
     assert_eq!(census.len(), 1);
