@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use tps_core::{InvariantLayer, PageOrder, TpsError, VirtAddr, BASE_PAGE_SHIFT};
 
 /// A mapped virtual memory area (one `mmap` result).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct Vma {
     base: VirtAddr,
     len: u64,
@@ -94,7 +94,7 @@ impl AddressSpace {
         let len = round_up_pages(len);
         let base = VirtAddr::new(self.bump).align_up(align.shift());
         let vma = Vma { base, len };
-        self.vmas.insert(base.value(), vma.clone());
+        self.vmas.insert(base.value(), vma);
         // Guard gap: skip to the next alignment boundary past the region so
         // a neighboring VMA can never share an aligned tailored-page region.
         self.bump = (base.value() + len + align.bytes()) & !(align.bytes() - 1);

@@ -681,7 +681,7 @@ impl Os {
         let vma = self.processes[asid as usize]
             .address_space
             .find(va)
-            .cloned()
+            .copied()
             .ok_or(TpsError::Unmapped { vaddr: va.value() })?;
         self.stats.faults += 1;
         self.charge(self.cost.fault_base);

@@ -145,6 +145,21 @@ set -e
 cmp "$tmpdir/cap-t1.json" "$tmpdir/cap-resumed.json" \
     || { echo "verify: capped-tenant resume differs from the uninterrupted run" >&2; exit 1; }
 
+echo "==> first-touch counter gate (16 MB under TPS and THP, pinned counters)"
+# The first_touch microbench times Os::handle_fault alone and Mmu::access
+# over one freshly mapped 16 MB region. Only its deterministic counters
+# are gated here; its wall times depend on the host.
+cargo build --release -q -p tps-bench --bin first_touch
+counters="$(./target/release/first_touch --mb 16 --runs 1 \
+    | grep -o '"[a-z]*-16mb": .*' | sed 's/"ns_per_fault": [0-9]*, //g')"
+expected='"tps-16mb": {"os": {"faults": 4096, "promotions": 2048, "pte_writes": 20510}, "mmu": {"faults": 4096, "promotions": 2048, "pte_writes": 24606}},
+"thp-16mb": {"os": {"faults": 4096, "promotions": 8, "pte_writes": 4114}, "mmu": {"faults": 4096, "promotions": 8, "pte_writes": 8210}}'
+if [ "$counters" != "$expected" ]; then
+    echo "verify: first_touch counters drifted from the pinned values:" >&2
+    diff <(echo "$expected") <(echo "$counters") >&2 || true
+    exit 1
+fi
+
 echo "==> simbench pinned-seed gate (counters identical to simbench/expected)"
 # One short run per benchmark workload at the pinned seed. simbench checks
 # every per-cell and per-tenant counter against simbench/expected/<W>.txt
