@@ -7,52 +7,56 @@
 //!
 //! Optional args: `<schedules> <uniform fault probability>`.
 
-use tps_check::campaign::{run_campaign, CampaignConfig};
-use tps_check::FaultPlanConfig;
+use tps_check::campaign::{self, OsProperty};
+use tps_check::{Campaign, FaultPlanConfig};
 
 fn main() {
     let mut args = std::env::args().skip(1);
     let schedules: u64 = args.next().and_then(|a| a.parse().ok()).unwrap_or(100);
-    let mut cfg = CampaignConfig {
+    let campaign = Campaign {
         schedules,
-        ..CampaignConfig::default()
+        ..campaign::CAMPAIGN
     };
+    let mut property = OsProperty::default();
     if let Some(p) = args.next().and_then(|a| a.parse::<f64>().ok()) {
-        cfg.plan = FaultPlanConfig::uniform(0, p);
+        property.plan = FaultPlanConfig::uniform(0, p);
     }
 
     println!(
         "campaign: {} schedules x {} ops, {} MB memory, fault probabilities \
          buddy {:.2} / reserve {:.2} / compaction {:.2} / shootdown {:.2}",
-        cfg.schedules,
-        cfg.ops_per_schedule,
-        cfg.mem_bytes >> 20,
-        cfg.plan.buddy_alloc,
-        cfg.plan.reserve_span,
-        cfg.plan.compaction_step,
-        cfg.plan.shootdown_deliver,
+        campaign.schedules,
+        property.ops_per_schedule,
+        property.mem_bytes >> 20,
+        property.plan.buddy_alloc,
+        property.plan.reserve_span,
+        property.plan.compaction_step,
+        property.plan.shootdown_deliver,
     );
-    let report = run_campaign(&cfg);
-    println!("schedules run        : {}", report.schedules_run);
-    println!("ops executed         : {}", report.ops_run);
-    println!("faults injected      : {}", report.faults_injected);
-    println!("page faults handled  : {}", report.total_faults);
-    println!("promotions           : {}", report.total_promotions);
-    println!("4K fallbacks         : {}", report.total_fallback_4k);
-    println!("  of which OOM-caused: {}", report.total_oom_fallbacks);
-    println!("compaction aborts    : {}", report.total_compaction_aborts);
-    println!("shootdowns retried   : {}", report.total_shootdowns_retried);
-    println!("legit OOM errors     : {}", report.oom_events);
-    if report.violations.is_empty() {
+    let report = campaign.run(&property);
+    let tally = &report.tally;
+    println!("schedules run        : {}", report.schedules);
+    println!(
+        "ops executed         : {}",
+        report.schedules * u64::from(property.ops_per_schedule)
+    );
+    println!("faults injected      : {}", tally.faults_injected);
+    println!("page faults handled  : {}", tally.os.faults);
+    println!("promotions           : {}", tally.os.promotions);
+    println!("4K fallbacks         : {}", tally.os.fallback_4k);
+    println!("  of which OOM-caused: {}", tally.os.oom_fallbacks);
+    println!("compaction aborts    : {}", tally.os.compaction_aborts);
+    println!("shootdowns retried   : {}", tally.os.shootdowns_retried);
+    println!("legit OOM errors     : {}", tally.oom_events);
+    if report.passed() {
         println!("invariant violations : none");
     } else {
         println!(
-            "invariant violations : {} (+{} truncated)",
-            report.violations.len(),
-            report.violations_truncated
+            "invariant violations : {} schedule(s)",
+            report.failures.len()
         );
-        for v in &report.violations {
-            println!("  {v}");
+        for failure in &report.failures {
+            println!("  {failure}");
         }
         std::process::exit(1);
     }

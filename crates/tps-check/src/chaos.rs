@@ -1,4 +1,5 @@
-//! Deterministic chaos campaign for the experiment engine's artifact I/O.
+//! The artifact property: deterministic chaos for the experiment engine's
+//! artifact I/O.
 //!
 //! Where [`crate::campaign`] stresses the simulated OS and [`crate::shadow`]
 //! the simulated hardware, this module stresses the one layer whose failure
@@ -25,67 +26,25 @@
 //!   the exact reference report, and whatever journal the storm left
 //!   behind must be salvageable as long as its header line is complete.
 //!
-//! Every schedule is a pure function of `(campaign seed, schedule index)`
-//! — failures are reported pinned so one bad schedule can be replayed in
-//! isolation with [`run_schedule`].
+//! Every schedule is a pure function of `(campaign seed, schedule index)`,
+//! so a failure replays in isolation with [`Campaign::replay`].
 
+use std::fmt;
 use std::path::{Path, PathBuf};
 
 use tps_core::rng::SplitMix64;
+use tps_core::TpsError;
 use tps_sim::{
     write_atomic, ExperimentMatrix, ExperimentReport, ExperimentSpec, FaultyIo, FaultyIoConfig,
     Mechanism, RunOptions,
 };
 use tps_wl::SuiteScale;
 
-/// SplitMix64's golden-gamma increment, reused to spread schedule indices.
-const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+use crate::runner::{Campaign, Property};
 
-/// Configuration of one chaos campaign.
-#[derive(Clone, Copy, Debug)]
-pub struct ChaosConfig {
-    /// Number of seeded kill/corruption/storm schedules to run.
-    pub schedules: u64,
-    /// Campaign base seed; every schedule's randomness derives from
-    /// `seed ^ (index * GOLDEN)`, so a failing index replays alone.
-    pub seed: u64,
-}
-
-impl Default for ChaosConfig {
-    fn default() -> Self {
-        ChaosConfig {
-            schedules: 240,
-            seed: 0x7e57_c4a0_0000_0001,
-        }
-    }
-}
-
-/// One pinned schedule failure: everything needed to replay it.
-#[derive(Clone, Debug)]
-pub struct ChaosFailure {
-    /// The schedule's index within the campaign.
-    pub schedule: u64,
-    /// The schedule's derived seed (what [`run_schedule`] re-derives).
-    pub seed: u64,
-    /// What contract broke.
-    pub detail: String,
-}
-
-impl std::fmt::Display for ChaosFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "schedule {} (seed {:#x}): {}",
-            self.schedule, self.seed, self.detail
-        )
-    }
-}
-
-/// Aggregated outcome of a chaos campaign.
+/// What the chaos schedules exercised.
 #[derive(Clone, Debug, Default)]
-pub struct ChaosReport {
-    /// Schedules executed.
-    pub schedules: u64,
+pub struct ChaosTally {
     /// Kill schedules (randomized byte-offset process death).
     pub kills: u64,
     /// Corruption schedules (one random byte flipped in a journal).
@@ -100,42 +59,23 @@ pub struct ChaosReport {
     pub harmless: u64,
     /// Damaged journals fully recovered by salvage mode.
     pub salvaged: u64,
-    /// Contract violations, pinned for replay. Empty means the campaign
-    /// passed.
-    pub failures: Vec<ChaosFailure>,
 }
 
-impl ChaosReport {
-    /// Whether every schedule upheld every contract.
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
-    }
-
-    /// One-line human summary.
-    pub fn summary(&self) -> String {
-        format!(
-            "{} schedules ({} kills, {} corruptions, {} storms): \
-             {} resumed, {} detected, {} harmless, {} salvaged, {} failures",
-            self.schedules,
+impl fmt::Display for ChaosTally {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "({} kills, {} corruptions, {} storms): \
+             {} resumed, {} detected, {} harmless, {} salvaged",
             self.kills,
             self.corruptions,
             self.io_storms,
             self.resumed,
             self.detected,
             self.harmless,
-            self.salvaged,
-            self.failures.len()
+            self.salvaged
         )
     }
-}
-
-/// Per-schedule counter deltas folded into the [`ChaosReport`].
-#[derive(Default)]
-struct Outcome {
-    resumed: u64,
-    detected: u64,
-    harmless: u64,
-    salvaged: u64,
 }
 
 /// The shared reference state every schedule compares against.
@@ -159,6 +99,27 @@ fn chaos_matrix() -> ExperimentMatrix {
         .threads(1)
         .build()
         .expect("chaos spec is static and valid")
+}
+
+impl Reference {
+    /// Runs the matrix from scratch, journaling to `ckpt` through `io`.
+    fn run(&self, ckpt: &Path, io: &FaultyIo) -> Result<ExperimentReport, TpsError> {
+        let options = RunOptions {
+            checkpoint: Some(ckpt.to_path_buf()),
+            ..RunOptions::default()
+        };
+        self.matrix.run_with_io(&options, io)
+    }
+
+    /// Resumes the matrix from the journal at `ckpt` over the real
+    /// filesystem; `salvage` drops damaged entries instead of refusing.
+    fn resume(&self, ckpt: &Path, salvage: bool) -> Result<ExperimentReport, TpsError> {
+        self.matrix.run_with(&RunOptions {
+            resume: Some(ckpt.to_path_buf()),
+            salvage,
+            ..RunOptions::default()
+        })
+    }
 }
 
 fn cell_docs(report: &ExperimentReport) -> Vec<String> {
@@ -194,92 +155,70 @@ fn build_reference(dir: &Path) -> Result<Reference, String> {
     })
 }
 
-/// Runs the whole campaign in `dir` (scratch space; created if missing).
-/// Deterministic: same config, same verdicts.
-pub fn run_chaos_campaign(config: &ChaosConfig, dir: &Path) -> ChaosReport {
-    let mut report = ChaosReport::default();
-    let reference = match build_reference(dir) {
-        Ok(reference) => reference,
-        Err(detail) => {
-            report.failures.push(ChaosFailure {
-                schedule: u64::MAX,
-                seed: config.seed,
-                detail,
-            });
-            return report;
-        }
-    };
-    for s in 0..config.schedules {
-        report.schedules += 1;
-        match s % 3 {
-            0 => report.kills += 1,
-            1 => report.corruptions += 1,
-            _ => report.io_storms += 1,
-        }
-        let seed = schedule_seed(config.seed, s);
-        match run_schedule_inner(&reference, seed, s, dir) {
-            Ok(outcome) => {
-                report.resumed += outcome.resumed;
-                report.detected += outcome.detected;
-                report.harmless += outcome.harmless;
-                report.salvaged += outcome.salvaged;
-            }
-            Err(detail) => report.failures.push(ChaosFailure {
-                schedule: s,
-                seed,
-                detail,
-            }),
-        }
+/// The default campaign: 240 schedules.
+pub const CAMPAIGN: Campaign = Campaign {
+    schedules: 240,
+    seed: 0x7e57_c4a0_0000_0001,
+};
+
+/// The artifact contracts, checked by kill, corruption and I/O-storm
+/// schedules (one third each, by schedule index) against one
+/// uninterrupted reference run.
+pub struct ChaosProperty {
+    reference: Reference,
+    dir: PathBuf,
+}
+
+impl ChaosProperty {
+    /// Builds the reference run in `dir` (scratch space; created if
+    /// missing), where every schedule will leave its wreckage.
+    ///
+    /// # Errors
+    ///
+    /// Why the reference run could not be built.
+    pub fn new(dir: &Path) -> Result<Self, String> {
+        Ok(ChaosProperty {
+            reference: build_reference(dir)?,
+            dir: dir.to_path_buf(),
+        })
     }
-    report
 }
 
-/// Replays one pinned schedule (by campaign seed + index) in isolation.
-///
-/// # Errors
-///
-/// The broken contract's description, exactly as the campaign pins it.
-pub fn run_schedule(config: &ChaosConfig, schedule: u64, dir: &Path) -> Result<(), String> {
-    let reference = build_reference(dir)?;
-    run_schedule_inner(
-        &reference,
-        schedule_seed(config.seed, schedule),
-        schedule,
-        dir,
-    )
-    .map(|_| ())
-}
+impl Property for ChaosProperty {
+    type Tally = ChaosTally;
 
-fn schedule_seed(base: u64, schedule: u64) -> u64 {
-    base ^ schedule.wrapping_mul(GOLDEN)
-}
-
-fn run_schedule_inner(
-    reference: &Reference,
-    seed: u64,
-    schedule: u64,
-    dir: &Path,
-) -> Result<Outcome, String> {
-    let mut rng = SplitMix64::new(seed);
-    let ckpt = dir.join(format!("chaos-{schedule}.ckpt"));
-    let json = dir.join(format!("chaos-{schedule}.json"));
-    for p in [&ckpt, &json] {
-        std::fs::remove_file(p).ok();
-    }
-    let result = match schedule % 3 {
-        0 => kill_schedule(reference, &mut rng, &ckpt, &json),
-        1 => corruption_schedule(reference, &mut rng, &ckpt),
-        _ => storm_schedule(reference, &mut rng, &ckpt),
-    };
-    if result.is_ok() {
-        // Keep the wreckage of failing schedules around for inspection.
+    fn check(&self, index: u64, seed: u64, tally: &mut ChaosTally) -> Result<(), String> {
+        let mut rng = SplitMix64::new(seed);
+        let ckpt = self.dir.join(format!("chaos-{index}.ckpt"));
+        let json = self.dir.join(format!("chaos-{index}.json"));
         for p in [&ckpt, &json] {
             std::fs::remove_file(p).ok();
         }
-        let tmp = dir.join(format!("chaos-{schedule}.json.tmp"));
-        std::fs::remove_file(&tmp).ok();
+        let reference = &self.reference;
+        let result = match index % 3 {
+            0 => {
+                tally.kills += 1;
+                kill_schedule(reference, &mut rng, &ckpt, &json, tally)
+            }
+            1 => {
+                tally.corruptions += 1;
+                corruption_schedule(reference, &mut rng, &ckpt, tally)
+            }
+            _ => {
+                tally.io_storms += 1;
+                storm_schedule(reference, &mut rng, &ckpt, tally)
+            }
+        };
+        if result.is_ok() {
+            // Keep the wreckage of failing schedules around for inspection.
+            for p in [&ckpt, &json] {
+                std::fs::remove_file(p).ok();
+            }
+            let tmp = self.dir.join(format!("chaos-{index}.json.tmp"));
+            std::fs::remove_file(&tmp).ok();
+        }
+        result
     }
-    result
 }
 
 /// Kill the write stream at a random byte offset; the survivors must
@@ -289,8 +228,8 @@ fn kill_schedule(
     rng: &mut SplitMix64,
     ckpt: &Path,
     json: &Path,
-) -> Result<Outcome, String> {
-    let mut outcome = Outcome::default();
+    tally: &mut ChaosTally,
+) -> Result<(), String> {
     let kill_at = rng.next_u64() % (reference.journal.len() as u64 + 8);
     let io = FaultyIo::new(FaultyIoConfig {
         seed: rng.next_u64(),
@@ -298,14 +237,7 @@ fn kill_schedule(
         ..FaultyIoConfig::default()
     });
     let report = reference
-        .matrix
-        .run_with_io(
-            &RunOptions {
-                checkpoint: Some(ckpt.to_path_buf()),
-                ..RunOptions::default()
-            },
-            &io,
-        )
+        .run(ckpt, &io)
         .map_err(|e| format!("killed run errored instead of dying silently: {e}"))?;
     if report.to_json() != reference.json {
         return Err("in-memory report of a killed run diverged".to_string());
@@ -329,29 +261,24 @@ fn kill_schedule(
     // Resume from the wreckage over the real filesystem.
     let journal_bytes = std::fs::read(ckpt).unwrap_or_default();
     let header_complete = journal_bytes.contains(&b'\n');
-    match reference.matrix.run_with(&RunOptions {
-        resume: Some(ckpt.to_path_buf()),
-        ..RunOptions::default()
-    }) {
+    match reference.resume(ckpt, false) {
         Ok(resumed) => {
             if resumed.to_json() != reference.json {
                 return Err(format!(
                     "resume after kill at byte {kill_at} is not byte-identical"
                 ));
             }
-            outcome.resumed += 1;
+            tally.resumed += 1;
         }
-        Err(e) if !header_complete => {
-            // Killed inside the header line: refusal is the contract.
-            let _ = e;
-        }
+        // Killed inside the header line: refusal is the contract.
+        Err(_) if !header_complete => {}
         Err(e) => {
             return Err(format!(
                 "salvageable journal (kill at byte {kill_at}) refused: {e}"
             ))
         }
     }
-    Ok(outcome)
+    Ok(())
 }
 
 /// Flip one random byte of the complete reference journal; resume must
@@ -361,18 +288,15 @@ fn corruption_schedule(
     reference: &Reference,
     rng: &mut SplitMix64,
     ckpt: &Path,
-) -> Result<Outcome, String> {
-    let mut outcome = Outcome::default();
+    tally: &mut ChaosTally,
+) -> Result<(), String> {
     let mut corrupted = reference.journal.clone();
     let pos = (rng.next_u64() % corrupted.len() as u64) as usize;
     let xor = (rng.next_u64() % 255 + 1) as u8;
     corrupted[pos] ^= xor;
     std::fs::write(ckpt, &corrupted).map_err(|e| format!("cannot plant corruption: {e}"))?;
 
-    match reference.matrix.run_with(&RunOptions {
-        resume: Some(ckpt.to_path_buf()),
-        ..RunOptions::default()
-    }) {
+    match reference.resume(ckpt, false) {
         Ok(report) => {
             // Resume accepted the damaged journal: only legal when the
             // output is still exactly right (e.g. the flip tore the tail
@@ -382,10 +306,9 @@ fn corruption_schedule(
                     "SILENTLY WRONG report from flipping byte {pos} by {xor:#04x}"
                 ));
             }
-            outcome.harmless += 1;
+            tally.harmless += 1;
         }
         Err(e) => {
-            outcome.detected += 1;
             // The resume mutated the journal (tail truncation cannot have
             // happened on an Err, but be safe): re-plant the corruption
             // for the salvage pass.
@@ -393,31 +316,26 @@ fn corruption_schedule(
                 .map_err(|e| format!("cannot re-plant corruption: {e}"))?;
             let header_damaged = pos < reference.header_len;
             let utf8_broken = std::str::from_utf8(&corrupted).is_err();
-            match reference.matrix.run_with(&RunOptions {
-                resume: Some(ckpt.to_path_buf()),
-                salvage: true,
-                ..RunOptions::default()
-            }) {
+            match reference.resume(ckpt, true) {
                 Ok(salvaged) => {
                     if cell_docs(&salvaged) != reference.cells {
                         return Err(format!("salvage of byte {pos} flip produced wrong cells"));
                     }
-                    outcome.salvaged += 1;
+                    tally.salvaged += 1;
                 }
-                Err(salvage_err) if header_damaged || utf8_broken => {
-                    // Salvage cannot invent a header or read non-UTF-8;
-                    // refusing is correct (and still a detection).
-                    let _ = salvage_err;
-                }
+                // Salvage cannot invent a header or read non-UTF-8;
+                // refusing is correct (and still a detection).
+                Err(_) if header_damaged || utf8_broken => {}
                 Err(salvage_err) => {
                     return Err(format!(
                         "salvage refused a recoverable journal (byte {pos}, {e}): {salvage_err}"
                     ))
                 }
             }
+            tally.detected += 1;
         }
     }
-    Ok(outcome)
+    Ok(())
 }
 
 /// Run under intermittent injected errors or a disk-full budget: success
@@ -427,8 +345,8 @@ fn storm_schedule(
     reference: &Reference,
     rng: &mut SplitMix64,
     ckpt: &Path,
-) -> Result<Outcome, String> {
-    let mut outcome = Outcome::default();
+    tally: &mut ChaosTally,
+) -> Result<(), String> {
     let disk_full = rng.next_u64().is_multiple_of(2);
     let config = if disk_full {
         FaultyIoConfig {
@@ -445,40 +363,25 @@ fn storm_schedule(
         }
     };
     let io = FaultyIo::new(config);
-    match reference.matrix.run_with_io(
-        &RunOptions {
-            checkpoint: Some(ckpt.to_path_buf()),
-            ..RunOptions::default()
-        },
-        &io,
-    ) {
-        Ok(report) => {
-            if report.to_json() != reference.json {
-                return Err("storm run reported success with a wrong report".to_string());
-            }
-        }
-        Err(e) => {
-            // The storm broke journal creation or the final sync; an
-            // error (not a wrong report) is the accepted outcome.
-            let _ = e;
+    // An error (the storm broke journal creation or the final sync) is
+    // an accepted outcome; a wrong report is not.
+    if let Ok(report) = reference.run(ckpt, &io) {
+        if report.to_json() != reference.json {
+            return Err("storm run reported success with a wrong report".to_string());
         }
     }
     // Whatever landed on disk must salvage whenever its header survived.
     let bytes = std::fs::read(ckpt).unwrap_or_default();
     if !bytes.contains(&b'\n') {
-        return Ok(outcome); // no complete header: nothing to recover
+        return Ok(()); // no complete header: nothing to recover
     }
-    match reference.matrix.run_with(&RunOptions {
-        resume: Some(ckpt.to_path_buf()),
-        salvage: true,
-        ..RunOptions::default()
-    }) {
+    match reference.resume(ckpt, true) {
         Ok(salvaged) => {
             if cell_docs(&salvaged) != reference.cells {
                 return Err("salvage after storm produced wrong cells".to_string());
             }
-            outcome.salvaged += 1;
-            Ok(outcome)
+            tally.salvaged += 1;
+            Ok(())
         }
         Err(e) => Err(format!("storm journal with complete header refused: {e}")),
     }

@@ -1,4 +1,4 @@
-//! Multi-tenant fault-containment chaos campaign.
+//! The containment property: multi-tenant fault-containment schedules.
 //!
 //! [`crate::campaign`] stresses the OS layer and [`crate::chaos`] the
 //! artifact I/O; this module stresses the containment contract of the
@@ -34,6 +34,10 @@
 //!   schedule must reproduce the same per-tenant outcomes — cause and
 //!   `at_event` — and the same per-tenant statistics, so a kill
 //!   observed once is a kill observed always.
+//!
+//! A failing schedule replays alone with [`Campaign::replay`].
+
+use std::fmt;
 
 use tps_core::rng::Rng;
 use tps_core::{TenantFaultCause, BASE_PAGE_SIZE};
@@ -46,57 +50,13 @@ use tps_wl::{Event, Workload, WorkloadProfile};
 
 use crate::audit::Auditor;
 use crate::plan::{FaultPlan, FaultPlanConfig};
-
-/// SplitMix64's golden-gamma increment, reused to spread schedule indices.
-const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+use crate::runner::{Campaign, Property};
 
 const MIB: u64 = 1 << 20;
 
-/// Configuration of one containment campaign.
-#[derive(Clone, Copy, Debug)]
-pub struct ContainmentConfig {
-    /// Number of seeded multi-tenant schedules to run.
-    pub schedules: u64,
-    /// Campaign base seed; every schedule's randomness derives from
-    /// `seed ^ (index * GOLDEN)`, so a failing index replays alone.
-    pub seed: u64,
-}
-
-impl Default for ContainmentConfig {
-    fn default() -> Self {
-        ContainmentConfig {
-            schedules: 240,
-            seed: 0x7e57_dead_0000_0002,
-        }
-    }
-}
-
-/// One pinned schedule failure: everything needed to replay it.
-#[derive(Clone, Debug)]
-pub struct ContainmentFailure {
-    /// The schedule's index within the campaign.
-    pub schedule: u64,
-    /// The schedule's derived seed (what [`run_schedule`] re-derives).
-    pub seed: u64,
-    /// What contract broke.
-    pub detail: String,
-}
-
-impl std::fmt::Display for ContainmentFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "schedule {} (seed {:#x}): {}",
-            self.schedule, self.seed, self.detail
-        )
-    }
-}
-
-/// Aggregated outcome of a containment campaign.
+/// What the containment schedules exercised.
 #[derive(Clone, Debug, Default)]
-pub struct ContainmentReport {
-    /// Schedules executed.
-    pub schedules: u64,
+pub struct ContainmentTally {
     /// Schedules driven through [`tps_sim::Machine::step`] +
     /// [`tps_sim::Machine::kill_tenant`] with an audit after every kill.
     pub manual: u64,
@@ -112,37 +72,74 @@ pub struct ContainmentReport {
     pub bad_event_kills: u64,
     /// Tenants that ran their event stream to completion.
     pub completed: u64,
-    /// Contract violations, pinned for replay. Empty means the campaign
-    /// passed.
-    pub failures: Vec<ContainmentFailure>,
 }
 
-impl ContainmentReport {
-    /// Whether every schedule upheld every contract.
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
-    }
-
-    /// One-line human summary.
-    pub fn summary(&self) -> String {
-        format!(
-            "{} schedules ({} manual, {} fault-armed): {} kills \
-             ({} oom, {} cap, {} bad-event), {} completed, {} failures",
-            self.schedules,
+impl fmt::Display for ContainmentTally {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "({} manual, {} fault-armed): {} kills \
+             ({} oom, {} cap, {} bad-event), {} completed",
             self.manual,
             self.armed,
             self.kills,
             self.oom_kills,
             self.cap_kills,
             self.bad_event_kills,
-            self.completed,
-            self.failures.len()
+            self.completed
         )
     }
 }
 
+/// The default campaign: 240 schedules.
+pub const CAMPAIGN: Campaign = Campaign {
+    schedules: 240,
+    seed: 0x7e57_dead_0000_0002,
+};
+
+/// The containment contracts, checked by seeded multi-tenant schedules.
+#[derive(Clone, Copy, Debug)]
+pub struct ContainmentProperty;
+
+impl Property for ContainmentProperty {
+    type Tally = ContainmentTally;
+
+    fn check(&self, index: u64, seed: u64, tally: &mut ContainmentTally) -> Result<(), String> {
+        let plan = derive_plan(seed, index);
+        tally.manual += u64::from(plan.manual);
+        tally.armed += u64::from(plan.faults.is_some());
+        let stats = if plan.manual {
+            run_manual(&plan)?
+        } else {
+            let stats = run_integrated(&plan)?;
+            let (first, second) = (digest(&stats), digest(&run_integrated(&plan)?));
+            if first != second {
+                return Err(format!(
+                    "kill sequence is not deterministic: first run {first:?}, re-run {second:?}"
+                ));
+            }
+            stats
+        };
+        for slot in 0..stats.per_tenant.len() {
+            match stats.outcome(slot) {
+                TenantOutcome::Completed => tally.completed += 1,
+                TenantOutcome::Killed { cause, .. } => {
+                    tally.kills += 1;
+                    match cause {
+                        TenantFaultCause::Oom => tally.oom_kills += 1,
+                        TenantFaultCause::CapExceeded => tally.cap_kills += 1,
+                        TenantFaultCause::UnknownRegion | TenantFaultCause::BadEvent => {
+                            tally.bad_event_kills += 1
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 /// What one tenant in a schedule does.
-#[derive(Clone)]
 struct TenantPlan {
     role: &'static str,
     events: Vec<Event>,
@@ -150,7 +147,6 @@ struct TenantPlan {
 }
 
 /// One fully derived schedule: rebuildable any number of times.
-#[derive(Clone)]
 struct SchedulePlan {
     mem_bytes: u64,
     mechanism: Mechanism,
@@ -176,6 +172,15 @@ impl Workload for Scripted {
     }
 }
 
+/// A load or store at `region[offset]`.
+fn access(region: u32, offset: u64, write: bool) -> Event {
+    Event::Access {
+        region,
+        offset,
+        write,
+    }
+}
+
 /// A well-behaved process: a few small regions, a burst of accesses,
 /// roughly half the regions unmapped again.
 fn benign_plan(rng: &mut Rng) -> Vec<Event> {
@@ -185,11 +190,7 @@ fn benign_plan(rng: &mut Rng) -> Vec<Event> {
         let bytes = MIB * (1 + rng.below(2));
         events.push(Event::Mmap { region, bytes });
         for _ in 0..96 {
-            events.push(Event::Access {
-                region,
-                offset: rng.below(bytes),
-                write: rng.chance(0.3),
-            });
+            events.push(access(region, rng.below(bytes), rng.chance(0.3)));
         }
     }
     for region in 0..regions {
@@ -209,11 +210,7 @@ fn hog_plan(rng: &mut Rng) -> Vec<Event> {
         events.push(Event::Mmap { region, bytes });
         let mut offset = rng.below(BASE_PAGE_SIZE);
         while offset < bytes {
-            events.push(Event::Access {
-                region,
-                offset,
-                write: true,
-            });
+            events.push(access(region, offset, true));
             offset += BASE_PAGE_SIZE;
         }
     }
@@ -226,11 +223,7 @@ fn greedy_plan(rng: &mut Rng) -> Vec<Event> {
     for region in 0..8u32 {
         events.push(Event::Mmap { region, bytes: MIB });
         for _ in 0..16 {
-            events.push(Event::Access {
-                region,
-                offset: rng.below(MIB),
-                write: rng.chance(0.5),
-            });
+            events.push(access(region, rng.below(MIB), rng.chance(0.5)));
         }
     }
     events
@@ -241,23 +234,11 @@ fn buggy_plan(rng: &mut Rng) -> Vec<Event> {
     let bytes = MIB;
     let mut events = vec![Event::Mmap { region: 0, bytes }];
     for _ in 0..32 {
-        events.push(Event::Access {
-            region: 0,
-            offset: rng.below(bytes),
-            write: false,
-        });
+        events.push(access(0, rng.below(bytes), false));
     }
     events.push(match rng.below(4) {
-        0 => Event::Access {
-            region: 99,
-            offset: 0,
-            write: false,
-        },
-        1 => Event::Access {
-            region: 0,
-            offset: bytes + 1,
-            write: true,
-        },
+        0 => access(99, 0, false),
+        1 => access(0, bytes + 1, true),
         2 => Event::Mmap { region: 0, bytes },
         _ => Event::Munmap { region: 77 },
     });
@@ -289,28 +270,17 @@ fn derive_plan(seed: u64, schedule: u64) -> SchedulePlan {
         // Slot 0 is always well-behaved so every schedule has a
         // potential survivor; the rest draw from the adversary cast.
         let role = if slot == 0 { 0 } else { rng.below(4) };
-        tenants.push(match role {
-            0 => TenantPlan {
-                role: "benign",
-                events: benign_plan(&mut rng),
-                cap: None,
-            },
-            1 => TenantPlan {
-                role: "hog",
-                events: hog_plan(&mut rng),
-                cap: None,
-            },
-            2 => TenantPlan {
-                role: "greedy",
-                events: greedy_plan(&mut rng),
-                cap: Some((1 + rng.below(4)) * MIB),
-            },
-            _ => TenantPlan {
-                role: "buggy",
-                events: buggy_plan(&mut rng),
-                cap: None,
-            },
-        });
+        let (role, events, cap) = match role {
+            0 => ("benign", benign_plan(&mut rng), None),
+            1 => ("hog", hog_plan(&mut rng), None),
+            2 => (
+                "greedy",
+                greedy_plan(&mut rng),
+                Some((1 + rng.below(4)) * MIB),
+            ),
+            _ => ("buggy", buggy_plan(&mut rng), None),
+        };
+        tenants.push(TenantPlan { role, events, cap });
     }
     SchedulePlan {
         mem_bytes,
@@ -400,147 +370,71 @@ fn check_books(machine: &Machine, stats: &MachineRunStats) -> Result<(), String>
     Ok(())
 }
 
-fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
-    let msg = payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_string());
-    format!("machine panicked instead of containing the fault: {msg}")
+/// Runs one schedule body, turning a panic into a pinned failure.
+fn contained(
+    body: impl FnOnce() -> Result<MachineRunStats, String>,
+) -> Result<MachineRunStats, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)).map_err(|payload| {
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        format!("machine panicked instead of containing the fault: {msg}")
+    })?
 }
 
 /// Integrated mode: [`tps_sim::Machine::run`] owns the containment
-/// policy. Returns the outcome digest for the determinism re-run.
-fn run_integrated(plan: &SchedulePlan) -> Result<(MachineRunStats, Digest), String> {
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-        || -> Result<MachineRunStats, String> {
-            let mut machine = build_machine(plan, true)?;
-            let stats = machine.run();
-            check_books(&machine, &stats)?;
-            Ok(stats)
-        },
-    ));
-    let stats: MachineRunStats = result.map_err(panic_detail)??;
-    let digest = digest(&stats);
-    Ok((stats, digest))
+/// policy.
+fn run_integrated(plan: &SchedulePlan) -> Result<MachineRunStats, String> {
+    contained(|| {
+        let mut machine = build_machine(plan, true)?;
+        let stats = machine.run();
+        check_books(&machine, &stats)?;
+        Ok(stats)
+    })
 }
 
 /// Manual mode: the campaign is the driver. Faulting tenants are killed
 /// through [`tps_sim::Machine::kill_tenant`] and the live OS is audited
 /// *immediately* after each kill, while the survivors still run.
 fn run_manual(plan: &SchedulePlan) -> Result<MachineRunStats, String> {
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-        || -> Result<MachineRunStats, String> {
-            let mut machine = build_machine(plan, false)?;
-            let mut auditor = Auditor::new();
-            let mut streams: Vec<std::vec::IntoIter<Event>> = plan
-                .tenants
-                .iter()
-                .map(|t| t.events.clone().into_iter())
-                .collect();
-            let mut live: Vec<usize> = (0..plan.tenants.len()).collect();
-            let mut turn = 0usize;
-            while !live.is_empty() {
-                let pick = turn % live.len();
-                let slot = live[pick];
-                match streams[slot].next() {
-                    None => {
-                        live.remove(pick);
-                    }
-                    Some(event) => {
-                        if let Err(fault) = machine.step(slot, event) {
-                            machine.kill_tenant(slot, fault.cause());
-                            live.remove(pick);
-                            let violations = auditor.audit(machine.os());
-                            if !violations.is_empty() {
-                                return Err(format!(
-                                    "audit right after killing tenant {slot} ({}) found \
-                                 {} violation(s): {}",
-                                    fault.cause().label(),
-                                    violations.len(),
-                                    violations.join("; ")
-                                ));
-                            }
-                        }
-                    }
-                }
-                turn += 1;
-            }
-            // The external tenants' machine-side streams are empty: run()
-            // retires the survivors and rolls the books up.
-            let stats = machine.run();
-            check_books(&machine, &stats)?;
-            Ok(stats)
-        },
-    ));
-    result.map_err(panic_detail)?
-}
-
-fn schedule_seed(base: u64, schedule: u64) -> u64 {
-    base ^ schedule.wrapping_mul(GOLDEN)
-}
-
-fn run_schedule_inner(seed: u64, schedule: u64) -> Result<MachineRunStats, String> {
-    let plan = derive_plan(seed, schedule);
-    if plan.manual {
-        return run_manual(&plan);
-    }
-    let (stats, first) = run_integrated(&plan)?;
-    let (_, second) = run_integrated(&plan)?;
-    if first != second {
-        return Err(format!(
-            "kill sequence is not deterministic: first run {first:?}, re-run {second:?}"
-        ));
-    }
-    Ok(stats)
-}
-
-/// Runs the whole campaign. Deterministic: same config, same verdicts.
-pub fn run_containment_campaign(config: &ContainmentConfig) -> ContainmentReport {
-    let mut report = ContainmentReport::default();
-    for s in 0..config.schedules {
-        report.schedules += 1;
-        let seed = schedule_seed(config.seed, s);
-        let plan = derive_plan(seed, s);
-        if plan.manual {
-            report.manual += 1;
-        }
-        if plan.faults.is_some() {
-            report.armed += 1;
-        }
-        match run_schedule_inner(seed, s) {
-            Ok(stats) => {
-                for slot in 0..stats.per_tenant.len() {
-                    match stats.outcome(slot) {
-                        TenantOutcome::Completed => report.completed += 1,
-                        TenantOutcome::Killed { cause, .. } => {
-                            report.kills += 1;
-                            match cause {
-                                TenantFaultCause::Oom => report.oom_kills += 1,
-                                TenantFaultCause::CapExceeded => report.cap_kills += 1,
-                                TenantFaultCause::UnknownRegion | TenantFaultCause::BadEvent => {
-                                    report.bad_event_kills += 1
-                                }
-                            }
-                        }
-                    }
+    contained(|| {
+        let mut machine = build_machine(plan, false)?;
+        let mut auditor = Auditor::new();
+        let mut streams: Vec<std::vec::IntoIter<Event>> = plan
+            .tenants
+            .iter()
+            .map(|t| t.events.clone().into_iter())
+            .collect();
+        let mut live: Vec<usize> = (0..plan.tenants.len()).collect();
+        let mut turn = 0usize;
+        while !live.is_empty() {
+            let pick = turn % live.len();
+            let slot = live[pick];
+            turn += 1;
+            let Some(event) = streams[slot].next() else {
+                live.remove(pick);
+                continue;
+            };
+            if let Err(fault) = machine.step(slot, event) {
+                machine.kill_tenant(slot, fault.cause());
+                live.remove(pick);
+                let violations = auditor.audit(machine.os());
+                if !violations.is_empty() {
+                    return Err(format!(
+                        "audit right after killing tenant {slot} ({}) found {} violation(s): {}",
+                        fault.cause().label(),
+                        violations.len(),
+                        violations.join("; ")
+                    ));
                 }
             }
-            Err(detail) => report.failures.push(ContainmentFailure {
-                schedule: s,
-                seed,
-                detail,
-            }),
         }
-    }
-    report
-}
-
-/// Replays one pinned schedule (by campaign seed + index) in isolation.
-///
-/// # Errors
-///
-/// The broken contract's description, exactly as the campaign pins it.
-pub fn run_schedule(config: &ContainmentConfig, schedule: u64) -> Result<(), String> {
-    run_schedule_inner(schedule_seed(config.seed, schedule), schedule).map(|_| ())
+        // The external tenants' machine-side streams are empty: run()
+        // retires the survivors and rolls the books up.
+        let stats = machine.run();
+        check_books(&machine, &stats)?;
+        Ok(stats)
+    })
 }

@@ -11,6 +11,7 @@
 //! any divergence from the reference is a correctness violation.
 
 use crate::plan::{FaultPlan, FaultPlanConfig};
+use crate::runner::spread;
 use tps_core::rng::Rng;
 use tps_core::{PhysAddr, VirtAddr, BASE_PAGE_SIZE};
 use tps_os::{Os, PolicyConfig, PolicyKind, Vma};
@@ -118,11 +119,10 @@ pub fn run_shadow_walk(cfg: &ShadowConfig) -> ShadowReport {
     let pid: Asid = os.spawn();
 
     // Arm every hardware site; OS sites stay at zero so the only faults
-    // in play are the ones this oracle is auditing.
-    let (handle, plan) = FaultPlan::handles(FaultPlanConfig::uniform_hw(
-        cfg.seed ^ 0x9e37_79b9_7f4a_7c15,
-        cfg.rate,
-    ));
+    // in play are the ones this oracle is auditing. The fault stream is
+    // decorrelated from the translation stream: `seed ^ φ64`.
+    let (handle, plan) =
+        FaultPlan::handles(FaultPlanConfig::uniform_hw(spread(cfg.seed, 1), cfg.rate));
     // The OS hook reaches the page table's alias-install site; the rest
     // are the hardware structures the loop below drives directly.
     os.set_fault_injector(Some(handle.clone()));

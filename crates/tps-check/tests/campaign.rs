@@ -7,72 +7,54 @@
 //!    no injector and the same schedule run with a never-faulting plan
 //!    produce byte-identical OS statistics and free-list state.
 
-use tps_check::campaign::{
-    run_campaign, run_schedule_with_injector, CampaignConfig, CampaignReport,
-};
-use tps_check::{FaultPlan, FaultPlanConfig};
+use tps_check::campaign::{self, run_schedule_with_injector, OsProperty};
+use tps_check::{Campaign, FaultPlan, FaultPlanConfig};
 
 /// 1,000 schedules × 48 ops, faults injected at every site, audits every
 /// 8 ops plus a full audit and leak check at each teardown. Zero panics is
 /// implicit (a panic fails the test); zero violations is asserted.
 #[test]
 fn thousand_fault_injected_schedules_hold_every_invariant() {
-    let cfg = CampaignConfig {
+    let campaign = Campaign {
         schedules: 1000,
-        ..CampaignConfig::default()
+        ..campaign::CAMPAIGN
     };
-    let report = run_campaign(&cfg);
-    assert_eq!(report.schedules_run, 1000);
-    assert!(
-        report.violations.is_empty(),
-        "invariant violations ({} shown, {} truncated): {:#?}",
-        report.violations.len().min(CampaignReport::MAX_VIOLATIONS),
-        report.violations_truncated,
-        report.violations
-    );
+    let report = campaign.run(&OsProperty::default());
+    assert_eq!(report.schedules, 1000);
+    assert!(report.passed(), "invariant violations: {report}");
+    let tally = &report.tally;
     // The campaign must have actually exercised the fault machinery, not
     // merely survived an idle run.
-    assert!(report.faults_injected > 1000, "faults were injected");
+    assert!(tally.faults_injected > 1000, "faults were injected");
+    assert!(tally.os.faults > 10_000, "schedules did real paging work");
     assert!(
-        report.total_faults > 10_000,
-        "schedules did real paging work"
-    );
-    assert!(
-        report.total_oom_fallbacks > 0,
+        tally.os.oom_fallbacks > 0,
         "allocation denial degraded to 4K"
     );
+    assert!(tally.os.compaction_aborts > 0, "compaction was interrupted");
     assert!(
-        report.total_compaction_aborts > 0,
-        "compaction was interrupted"
-    );
-    assert!(
-        report.total_shootdowns_retried > 0,
+        tally.os.shootdowns_retried > 0,
         "dropped shootdowns were retried"
     );
-    assert!(
-        report.total_promotions > 0,
-        "promotion machinery kept working"
-    );
+    assert!(tally.os.promotions > 0, "promotion machinery kept working");
 }
 
 /// Torture variant: every site faults at high probability. Much more
 /// degradation, still zero violations.
 #[test]
 fn high_probability_torture_schedules_stay_consistent() {
-    let cfg = CampaignConfig {
+    let campaign = Campaign {
         schedules: 100,
-        plan: FaultPlanConfig::uniform(0, 0.6),
         seed: 0x0123_4567_89ab_cdef,
-        ..CampaignConfig::default()
     };
-    let report = run_campaign(&cfg);
+    let torture = OsProperty {
+        plan: FaultPlanConfig::uniform(0, 0.6),
+        ..OsProperty::default()
+    };
+    let report = campaign.run(&torture);
+    assert!(report.passed(), "torture violations: {report}");
     assert!(
-        report.violations.is_empty(),
-        "torture violations: {:#?}",
-        report.violations
-    );
-    assert!(
-        report.faults_injected > report.schedules_run,
+        report.tally.faults_injected > report.schedules,
         "torture really hurt"
     );
 }
@@ -82,11 +64,11 @@ fn high_probability_torture_schedules_stay_consistent() {
 /// byte-identical statistics, free bytes, and free-list histograms.
 #[test]
 fn disabled_injection_is_byte_identical_to_no_injector() {
-    let cfg = CampaignConfig::default();
+    let property = OsProperty::default();
     for seed in 0..25u64 {
-        let bare = run_schedule_with_injector(&cfg, seed, None);
+        let bare = run_schedule_with_injector(&property, seed, None);
         let (handle, plan) = FaultPlan::handles(FaultPlanConfig::disabled(seed));
-        let hooked = run_schedule_with_injector(&cfg, seed, Some(handle));
+        let hooked = run_schedule_with_injector(&property, seed, Some(handle));
         assert!(
             bare.violations.is_empty(),
             "seed {seed}: {:?}",

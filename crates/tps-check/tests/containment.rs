@@ -4,34 +4,34 @@
 //! buddy state after every kill, per-tenant statistics that sum exactly
 //! to the rollup, and byte-for-byte reproducible kill sequences.
 
-use tps_check::containment::{run_containment_campaign, ContainmentConfig};
+use tps_check::containment::{ContainmentProperty, CAMPAIGN};
 
 #[test]
 fn containment_campaign_holds_every_contract() {
-    let config = ContainmentConfig::default();
-    assert!(
-        config.schedules >= 200,
-        "the campaign must stay substantial"
-    );
-    let report = run_containment_campaign(&config);
-    for failure in &report.failures {
-        eprintln!("FAIL {failure}");
-    }
-    assert!(report.passed(), "{}", report.summary());
-    assert_eq!(report.schedules, config.schedules);
+    const {
+        assert!(
+            CAMPAIGN.schedules >= 200,
+            "the campaign must stay substantial"
+        )
+    };
+    let report = CAMPAIGN.run(&ContainmentProperty);
+    let tally = &report.tally;
+    assert!(report.passed(), "{report}");
+    assert_eq!(report.schedules, CAMPAIGN.schedules);
     // The cast guarantees the campaign actually exercised every kill
     // path, not just fault-free runs.
-    assert!(report.kills > 0, "{}", report.summary());
-    assert!(report.oom_kills > 0, "{}", report.summary());
-    assert!(report.cap_kills > 0, "{}", report.summary());
-    assert!(report.bad_event_kills > 0, "{}", report.summary());
-    assert!(report.completed > 0, "{}", report.summary());
-    assert!(report.manual > 0, "{}", report.summary());
-    assert!(report.armed > 0, "{}", report.summary());
+    assert!(tally.kills > 0, "{report}");
+    assert!(tally.oom_kills > 0, "{report}");
+    assert!(tally.cap_kills > 0, "{report}");
+    assert!(tally.bad_event_kills > 0, "{report}");
+    assert!(tally.completed > 0, "{report}");
+    assert!(tally.manual > 0, "{report}");
+    assert!(tally.armed > 0, "{report}");
 }
 
 #[test]
 fn one_pinned_schedule_replays_in_isolation() {
-    let config = ContainmentConfig::default();
-    tps_check::containment::run_schedule(&config, 0).expect("schedule 0 upholds the contracts");
+    CAMPAIGN
+        .replay(&ContainmentProperty, 0)
+        .expect("schedule 0 upholds the contracts");
 }

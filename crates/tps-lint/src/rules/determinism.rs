@@ -23,13 +23,9 @@ pub const DET_CRATES: [&str; 7] = [
     "tps-core", "tps-mem", "tps-os", "tps-pt", "tps-tlb", "tps-wl", "tps-sim",
 ];
 
-/// Modules allowed to read the wall clock: the chaos campaign's own timing
-/// and the worker-pool watchdog, both of which measure the *harness*, not
-/// the simulation.
-const WALL_CLOCK_ALLOW: [&str; 2] = [
-    "crates/tps-check/src/campaign.rs",
-    "crates/tps-sim/src/experiment/pool.rs",
-];
+/// Modules allowed to read the wall clock: only the worker-pool watchdog,
+/// which measures the *harness*, not the simulation.
+const WALL_CLOCK_ALLOW: [&str; 1] = ["crates/tps-sim/src/experiment/pool.rs"];
 
 /// Iterator-producing methods whose order is the container's order.
 const ITER_METHODS: [&str; 9] = [
@@ -302,7 +298,7 @@ fn wall_clock(ctx: &FileCtx<'_>, out: &mut Vec<Diagnostic>) {
                 format!(
                     "`{}` reads the wall clock inside the deterministic pipeline; simulated \
                      time must come from the simulator, and harness timing belongs in the \
-                     allowlisted watchdog/campaign modules",
+                     allowlisted watchdog module",
                     s.text
                 ),
             ));

@@ -183,6 +183,14 @@ fn wall_clock_in_sim_fixtures() {
     check_single_rule("wall-clock-in-sim");
 }
 
+/// The checker's campaigns are deterministic too: a wall-clock read in a
+/// tps-check module is reported, since only the worker-pool watchdog is
+/// allowlisted.
+#[test]
+fn wall_clock_in_checker_is_flagged() {
+    check(load_single("wall-clock-in-sim", "bad_checker"));
+}
+
 #[test]
 fn unseeded_entropy_fixtures() {
     check_single_rule("unseeded-entropy");
