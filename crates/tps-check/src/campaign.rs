@@ -123,7 +123,7 @@ impl Property for OsProperty {
         let (out, plan) = run_planned(self, seed);
         tally.faults_injected += plan.borrow().injected_total();
         tally.oom_events += out.oom_events;
-        tally.os.accumulate(&out.stats);
+        tally.os += out.stats;
         if out.violations.is_empty() {
             Ok(())
         } else {

@@ -338,8 +338,9 @@ fn digest(stats: &MachineRunStats) -> Digest {
 
 /// The books-balance checks shared by both modes: a clean audit of the
 /// final OS state, per-tenant OS attribution summing exactly to the
-/// machine-wide rollup, and per-tenant accesses summing to the global
-/// TLB counters.
+/// machine-wide rollup, per-tenant MMU-cache hits and hardware
+/// degradations summing to the MMU's machine-wide counters, and
+/// per-tenant accesses summing to the global TLB counters.
 fn check_books(machine: &Machine, stats: &MachineRunStats) -> Result<(), String> {
     let violations = Auditor::new().audit(machine.os());
     if !violations.is_empty() {
@@ -351,13 +352,40 @@ fn check_books(machine: &Machine, stats: &MachineRunStats) -> Result<(), String>
     }
     let mut os_sum = OsStats::default();
     for tenant in &stats.per_tenant {
-        os_sum.accumulate(&tenant.os);
+        os_sum += tenant.os;
     }
     if os_sum != stats.global.os {
         return Err(format!(
             "attribution leak: per-tenant OS stats sum to {os_sum:?} \
              but the machine-wide rollup reads {:?}",
             stats.global.os
+        ));
+    }
+    let mut hits = (0, 0, 0);
+    let (mut restarts, mut fill_drops, mut tlb) = (0, 0, 0);
+    for t in &stats.per_tenant {
+        hits.0 += t.mmu_cache_hits.0;
+        hits.1 += t.mmu_cache_hits.1;
+        hits.2 += t.mmu_cache_hits.2;
+        restarts += t.hw_faults.walk_restarts;
+        fill_drops += t.hw_faults.mmu_cache_fill_drops;
+        tlb += t.hw_faults.tlb_fill_drops
+            + t.hw_faults.tlb_evict_abandons
+            + t.hw_faults.stlb_probe_misses;
+    }
+    let (machine_restarts, machine_fill_drops, machine_tlb) = machine.mmu().hw_fault_counters();
+    let per_tenant = (hits, restarts, fill_drops, tlb);
+    let machine_wide = (
+        machine.mmu().mmu_cache_hits(),
+        machine_restarts,
+        machine_fill_drops,
+        machine_tlb.total(),
+    );
+    if per_tenant != machine_wide {
+        return Err(format!(
+            "hardware attribution leak: per-tenant (cache hits, walk restarts, \
+             cache fill drops, TLB degradations) sum to {per_tenant:?} but the \
+             MMU reads {machine_wide:?}"
         ));
     }
     let accesses: u64 = stats.per_tenant.iter().map(|t| t.mem.accesses).sum();

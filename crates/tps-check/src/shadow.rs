@@ -200,12 +200,12 @@ pub fn run_shadow_walk(cfg: &ShadowConfig) -> ShadowReport {
     }
 
     report.degradations = [
-        walker.walk_restarts(),
+        walker.walk_restarts().total(),
         os.page_table(pid).alias_install_retries(),
-        caches.fill_drops(),
-        tlb.fill_drops(),
-        tlb.evict_abandons(),
-        stlb.probe_misses(),
+        caches.fill_drops().total(),
+        tlb.fill_drops().total(),
+        tlb.evict_abandons().total(),
+        stlb.probe_misses().total(),
     ];
     report.injected = plan
         .borrow()

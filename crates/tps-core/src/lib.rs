@@ -39,6 +39,7 @@ mod error;
 pub mod inject;
 pub mod lru;
 mod page;
+mod per_asid;
 mod pte;
 pub mod rng;
 
@@ -52,6 +53,7 @@ pub use page::{
     level_base_order, level_for_order, PageOrder, PageSize, LEVELS, MAX_PAGE_ORDER, PT_ENTRIES,
     PT_INDEX_BITS,
 };
+pub use per_asid::PerAsid;
 pub use pte::{LeafInfo, Pte, PteFlags};
 
 /// Convenience result alias used across the workspace.

@@ -108,7 +108,11 @@ mod tests {
             "the per-access entry point is the contract's reason to exist"
         );
         assert!(hot.entry_points.len() >= 10);
-        assert!(hot.cold_boundaries.contains_key("handle_fault"));
+        assert!(
+            !hot.cold_boundaries.contains_key("handle_fault"),
+            "a TPS first touch runs the fault path; it stays fenced"
+        );
+        assert!(hot.cold_boundaries.contains_key("handle_cow_fault"));
     }
 
     #[test]

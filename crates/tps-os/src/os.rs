@@ -48,7 +48,10 @@ pub struct FaultOutcome {
     pub promoted: bool,
 }
 
-/// Aggregate OS activity counters (system-time model, Fig. 17).
+/// OS activity counters (system-time model, Fig. 17): one account per
+/// process ([`Process::stats`]), charged by every operation the process
+/// asks for, plus the OS's own account for work no process asked for
+/// (compaction). [`Os::stats`] sums them all.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct OsStats {
     /// `mmap` calls served.
@@ -82,45 +85,21 @@ pub struct OsStats {
     pub shootdowns_retried: u64,
 }
 
-impl OsStats {
-    /// Counter-wise difference `self - earlier`, for attributing OS work
-    /// to the tenant whose event triggered it: the multi-tenant machine
-    /// snapshots the machine-wide counters around each event and charges
-    /// the delta to the acting tenant.
-    pub fn delta_since(&self, earlier: &OsStats) -> OsStats {
-        OsStats {
-            mmaps: self.mmaps - earlier.mmaps,
-            munmaps: self.munmaps - earlier.munmaps,
-            faults: self.faults - earlier.faults,
-            promotions: self.promotions - earlier.promotions,
-            reservations_created: self.reservations_created - earlier.reservations_created,
-            fallback_4k: self.fallback_4k - earlier.fallback_4k,
-            shootdowns: self.shootdowns - earlier.shootdowns,
-            cow_faults: self.cow_faults - earlier.cow_faults,
-            cow_bytes_copied: self.cow_bytes_copied - earlier.cow_bytes_copied,
-            op_cycles: self.op_cycles - earlier.op_cycles,
-            oom_fallbacks: self.oom_fallbacks - earlier.oom_fallbacks,
-            compaction_aborts: self.compaction_aborts - earlier.compaction_aborts,
-            shootdowns_retried: self.shootdowns_retried - earlier.shootdowns_retried,
-        }
-    }
-
-    /// Adds `delta` into this counter set (the accumulation side of
-    /// [`OsStats::delta_since`]).
-    pub fn accumulate(&mut self, delta: &OsStats) {
-        self.mmaps += delta.mmaps;
-        self.munmaps += delta.munmaps;
-        self.faults += delta.faults;
-        self.promotions += delta.promotions;
-        self.reservations_created += delta.reservations_created;
-        self.fallback_4k += delta.fallback_4k;
-        self.shootdowns += delta.shootdowns;
-        self.cow_faults += delta.cow_faults;
-        self.cow_bytes_copied += delta.cow_bytes_copied;
-        self.op_cycles += delta.op_cycles;
-        self.oom_fallbacks += delta.oom_fallbacks;
-        self.compaction_aborts += delta.compaction_aborts;
-        self.shootdowns_retried += delta.shootdowns_retried;
+impl std::ops::AddAssign for OsStats {
+    fn add_assign(&mut self, other: OsStats) {
+        self.mmaps += other.mmaps;
+        self.munmaps += other.munmaps;
+        self.faults += other.faults;
+        self.promotions += other.promotions;
+        self.reservations_created += other.reservations_created;
+        self.fallback_4k += other.fallback_4k;
+        self.shootdowns += other.shootdowns;
+        self.cow_faults += other.cow_faults;
+        self.cow_bytes_copied += other.cow_bytes_copied;
+        self.op_cycles += other.op_cycles;
+        self.oom_fallbacks += other.oom_fallbacks;
+        self.compaction_aborts += other.compaction_aborts;
+        self.shootdowns_retried += other.shootdowns_retried;
     }
 }
 
@@ -137,6 +116,8 @@ pub struct Process {
     direct_blocks: BTreeMap<u64, Vec<(PhysAddr, PageOrder)>>,
     /// Distinct base pages demand-touched (for footprint accounting).
     touched_pages: u64,
+    /// The work this process's operations caused.
+    stats: OsStats,
 }
 
 impl Process {
@@ -175,6 +156,12 @@ impl Process {
         self.touched_pages << BASE_PAGE_SHIFT
     }
 
+    /// The OS work charged to this process: everything its own `mmap`,
+    /// `munmap`, faults, CoW faults, `mprotect`, merges and forks did.
+    pub fn stats(&self) -> OsStats {
+        self.stats
+    }
+
     /// Directly allocated blocks (no reservation) per owning VMA base —
     /// exposed for cross-layer audits of physical-frame ownership.
     pub fn direct_blocks(&self) -> impl Iterator<Item = (u64, &[(PhysAddr, PageOrder)])> {
@@ -203,7 +190,8 @@ pub struct Os {
     policy: PolicyConfig,
     cost: CostModel,
     processes: Vec<Process>,
-    stats: OsStats,
+    /// The OS's own account: work no process asked for (compaction).
+    kernel: OsStats,
     /// Every `noise_period` faults the kernel/other tenants take a 2 MB
     /// block of their own (0 = off). A single pristine process would see
     /// unrealistically perfect physical adjacency between its buddy
@@ -238,7 +226,7 @@ impl Os {
             policy,
             cost: CostModel::default(),
             processes: Vec::new(),
-            stats: OsStats::default(),
+            kernel: OsStats::default(),
             noise_period: 0,
             noise_counter: 0,
             noise_blocks: Vec::new(),
@@ -303,9 +291,14 @@ impl Os {
         self.cost = cost;
     }
 
-    /// Activity counters so far.
+    /// Machine-wide activity counters so far: every process's account
+    /// plus the OS's own.
     pub fn stats(&self) -> OsStats {
-        self.stats
+        let mut total = self.kernel;
+        for proc in &self.processes {
+            total += proc.stats;
+        }
+        total
     }
 
     /// The physical allocator (inspection only).
@@ -324,23 +317,38 @@ impl Os {
         &self.noise_blocks
     }
 
+    /// Issues `shootdowns` on `payer`'s account: counts and charges them,
+    /// plus the `pte_writes` PTE stores that made them necessary, then
+    /// models their delivery.
+    fn shoot_down(&mut self, payer: Option<Asid>, shootdowns: &[Shootdown], pte_writes: u64) {
+        let n = shootdowns.len() as u64;
+        let cycles = self.cost.pte_write * pte_writes + self.cost.shootdown * n;
+        let account = self.account_of(payer);
+        account.shootdowns += n;
+        account.op_cycles += cycles;
+        self.deliver_shootdowns(payer, shootdowns);
+    }
+
     /// Models IPI delivery for a batch of shootdowns: an installed fault
     /// injector may drop a delivery, which the OS detects (ack timeout) and
-    /// re-issues, counting [`OsStats::shootdowns_retried`]. The returned
-    /// shootdown lists are therefore always complete. Bounded retries keep
-    /// a pathological injector from hanging the simulation.
-    fn deliver_shootdowns(&mut self, shootdowns: &[Shootdown]) {
+    /// re-issues, counting [`OsStats::shootdowns_retried`] on `payer`'s
+    /// account. The returned shootdown lists are therefore always
+    /// complete. Bounded retries keep a pathological injector from hanging
+    /// the simulation.
+    fn deliver_shootdowns(&mut self, payer: Option<Asid>, shootdowns: &[Shootdown]) {
         if self.injector.is_none() {
             return;
         }
         const MAX_RETRIES: u32 = 8;
+        let cost = self.cost.shootdown;
         for _ in shootdowns {
             let mut attempts = 0;
             while attempts < MAX_RETRIES
                 && inject::should_fault(&self.injector, FaultSite::ShootdownDeliver)
             {
-                self.stats.shootdowns_retried += 1;
-                self.charge(self.cost.shootdown);
+                let account = self.account_of(payer);
+                account.shootdowns_retried += 1;
+                account.op_cycles += cost;
                 attempts += 1;
             }
         }
@@ -360,6 +368,7 @@ impl Os {
             ranges: Vec::new(),
             direct_blocks: BTreeMap::new(),
             touched_pages: 0,
+            stats: OsStats::default(),
         });
         asid
     }
@@ -430,8 +439,23 @@ impl Os {
         (vpn < r.end_vpn).then_some(r)
     }
 
-    fn charge(&mut self, cycles: u64) {
-        self.stats.op_cycles += cycles;
+    /// The account of `asid`, which every operation it asks for is
+    /// charged to.
+    fn account(&mut self, asid: Asid) -> &mut OsStats {
+        &mut self.proc_mut(asid).stats
+    }
+
+    /// `payer`'s account, or (`None`) the OS's own, for work no process
+    /// asked for.
+    fn account_of(&mut self, payer: Option<Asid>) -> &mut OsStats {
+        match payer {
+            Some(asid) => self.account(asid),
+            None => &mut self.kernel,
+        }
+    }
+
+    fn charge(&mut self, asid: Asid, cycles: u64) {
+        self.account(asid).op_cycles += cycles;
     }
 
     /// Allocates a block directly (no reservation), recording ownership
@@ -443,7 +467,10 @@ impl Os {
         order: PageOrder,
     ) -> Result<PhysAddr, TpsError> {
         let pa = self.buddy.alloc(order)?;
-        self.charge(self.cost.buddy_op + self.cost.zero_4k * order.base_pages());
+        self.charge(
+            asid,
+            self.cost.buddy_op + self.cost.zero_4k * order.base_pages(),
+        );
         self.proc_mut(asid)
             .direct_blocks
             .entry(vma_base.value())
@@ -468,8 +495,8 @@ impl Os {
         let covering = PageOrder::covering(len_r).unwrap_or(self.policy.max_order);
         let align = covering.min(self.policy.max_order);
         let vma = self.proc_mut(asid).address_space.map_region(len_r, align)?;
-        self.stats.mmaps += 1;
-        self.charge(self.cost.reservation_op);
+        self.account(asid).mmaps += 1;
+        self.charge(asid, self.cost.reservation_op);
 
         match self.policy.kind {
             PolicyKind::Only4K | PolicyKind::Only2M | PolicyKind::Thp => {}
@@ -485,7 +512,7 @@ impl Os {
                 };
                 match reserve_span(&mut self.buddy, reserve_len, self.policy.max_order) {
                     Ok(segments) => {
-                        self.charge(self.cost.buddy_op * segments.len() as u64);
+                        self.charge(asid, self.cost.buddy_op * segments.len() as u64);
                         let backup = segments.clone();
                         if self
                             .install_reservation(asid, vma.base(), reserve_len, segments)
@@ -497,7 +524,7 @@ impl Os {
                             for s in backup {
                                 let _ = self.buddy.free(s.base, s.order);
                             }
-                            self.stats.fallback_4k += 1;
+                            self.account(asid).fallback_4k += 1;
                         } else if self.policy.kind == PolicyKind::TpsEager
                             && self.map_reservation_eagerly(asid, vma.base()).is_err()
                         {
@@ -508,14 +535,14 @@ impl Os {
                     Err(_) => {
                         // Degrade to 4 KB demand faulting (fragmentation or
                         // an injected reservation denial).
-                        self.stats.fallback_4k += 1;
-                        self.stats.oom_fallbacks += 1;
+                        self.account(asid).fallback_4k += 1;
+                        self.account(asid).oom_fallbacks += 1;
                     }
                 }
             }
             PolicyKind::Rmm => {
                 let segments = reserve_span(&mut self.buddy, len_r, self.policy.max_order)?;
-                self.charge(self.cost.buddy_op * segments.len() as u64);
+                self.charge(asid, self.cost.buddy_op * segments.len() as u64);
                 self.map_rmm_eagerly(asid, &vma, segments)?;
             }
         }
@@ -541,7 +568,7 @@ impl Os {
             }
             let _ = self.buddy.free(seg.base, seg.order);
         }
-        self.stats.fallback_4k += 1;
+        self.account(asid).fallback_4k += 1;
     }
 
     fn install_reservation(
@@ -554,8 +581,8 @@ impl Os {
         self.proc_mut(asid)
             .reservations
             .insert(va_base, len, segments)?;
-        self.stats.reservations_created += 1;
-        self.charge(self.cost.reservation_op);
+        self.account(asid).reservations_created += 1;
+        self.charge(asid, self.cost.reservation_op);
         Ok(())
     }
 
@@ -589,7 +616,10 @@ impl Os {
                 zero_pages += seg.order.base_pages();
             }
         }
-        self.charge(self.cost.pte_write * pte_cost + self.cost.zero_4k * zero_pages);
+        self.charge(
+            asid,
+            self.cost.pte_write * pte_cost + self.cost.zero_4k * zero_pages,
+        );
         Ok(())
     }
 
@@ -662,7 +692,10 @@ impl Os {
             }
             proc.ranges.sort_by_key(|r| r.start_vpn);
         }
-        self.charge(self.cost.pte_write * pte_cost + self.cost.zero_4k * zero_pages);
+        self.charge(
+            asid,
+            self.cost.pte_write * pte_cost + self.cost.zero_4k * zero_pages,
+        );
         Ok(())
     }
 
@@ -683,8 +716,8 @@ impl Os {
             .find(va)
             .copied()
             .ok_or(TpsError::Unmapped { vaddr: va.value() })?;
-        self.stats.faults += 1;
-        self.charge(self.cost.fault_base);
+        self.account(asid).faults += 1;
+        self.charge(asid, self.cost.fault_base);
 
         // Background allocator interference (see `set_background_noise`).
         if self.noise_period > 0 {
@@ -717,7 +750,7 @@ impl Os {
         let before = proc.page_table.pte_writes();
         proc.page_table.map(va, pa, order, flags)?;
         let writes = proc.page_table.pte_writes() - before;
-        self.charge(self.cost.pte_write * writes);
+        self.charge(asid, self.cost.pte_write * writes);
         Ok(())
     }
 
@@ -773,9 +806,9 @@ impl Os {
         // the VMA the only way here is a failed 2 MB allocation.
         let whole_chunk_inside = chunk >= vma.base() && chunk_end <= vma.end().value();
         if whole_chunk_inside {
-            self.stats.oom_fallbacks += 1;
+            self.account(asid).oom_fallbacks += 1;
         }
-        self.stats.fallback_4k += 1;
+        self.account(asid).fallback_4k += 1;
         self.fault_direct_4k(asid, vma, va)
     }
 
@@ -791,11 +824,12 @@ impl Os {
                 // Try to reserve a whole 2M frame for this chunk.
                 match self.buddy.alloc(PageOrder::P2M) {
                     Ok(block) => {
-                        self.charge(self.cost.buddy_op);
+                        self.charge(asid, self.cost.buddy_op);
                         self.install_reservation(
                             asid,
                             chunk,
                             PageOrder::P2M.bytes(),
+                            // tps-lint::allow(hot-path-alloc, reason = "the reservation owns its segment list; built once per 2 MB chunk, on the chunk's first fault, not per fault")
                             vec![Segment {
                                 offset: 0,
                                 base: block,
@@ -804,14 +838,14 @@ impl Os {
                         )?;
                     }
                     Err(_) => {
-                        self.stats.fallback_4k += 1;
-                        self.stats.oom_fallbacks += 1;
+                        self.account(asid).fallback_4k += 1;
+                        self.account(asid).oom_fallbacks += 1;
                         return self.fault_direct_4k(asid, vma, va);
                     }
                 }
             } else {
                 // VMA tail smaller than 2M: demand 4K.
-                self.stats.fallback_4k += 1;
+                self.account(asid).fallback_4k += 1;
                 return self.fault_direct_4k(asid, vma, va);
             }
         }
@@ -828,7 +862,7 @@ impl Os {
             self.fault_from_reservation(asid, va, PromotionMode::AnyPowerOfTwo(cap))
         } else {
             // Reservation failed at mmap time (fragmentation fallback).
-            self.stats.fallback_4k += 1;
+            self.account(asid).fallback_4k += 1;
             self.fault_direct_4k(asid, vma, va)
         }
     }
@@ -846,6 +880,7 @@ impl Os {
         let res_invariant = |what: &str| {
             TpsError::invariant(
                 InvariantLayer::Reservation,
+                // tps-lint::allow(hot-path-alloc, reason = "error path only: the message of an invariant violation that aborts this fault")
                 format!("{what} for fault at {va}"),
             )
         };
@@ -869,7 +904,7 @@ impl Os {
             let promotable = res.utilization().promotable_order(page_idx, threshold);
             (res.va_base(), offset, pa, seg_order, promotable)
         };
-        self.charge(self.cost.reservation_op + self.cost.zero_4k);
+        self.charge(asid, self.cost.reservation_op + self.cost.zero_4k);
 
         // Map the demanded base page if nothing covers it yet.
         let page_va = va.align_down(BASE_PAGE_SHIFT);
@@ -929,8 +964,8 @@ impl Os {
             debug_assert!(va_k.is_aligned(order.shift()));
             debug_assert!(pa_k.is_aligned(order.shift()));
             self.map_counted(asid, va_k, pa_k, order, PteFlags::WRITABLE | PteFlags::USER)?;
-            self.charge(self.cost.promote_op);
-            self.stats.promotions += 1;
+            self.charge(asid, self.cost.promote_op);
+            self.account(asid).promotions += 1;
             mapped_order = order;
             promoted = true;
         }
@@ -996,9 +1031,7 @@ impl Os {
                 }
             }
         }
-        self.stats.shootdowns += shootdowns.len() as u64;
-        self.charge(self.cost.pte_write * pte_cost + self.cost.shootdown * shootdowns.len() as u64);
-        self.deliver_shootdowns(&shootdowns);
+        self.shoot_down(Some(parent), &shootdowns, pte_cost);
         (child, shootdowns)
     }
 
@@ -1031,8 +1064,8 @@ impl Os {
             .lookup(va)
             .ok_or(TpsError::Unmapped { vaddr: va.value() })?;
         debug_assert!(!leaf.flags.contains(PteFlags::WRITABLE));
-        self.stats.cow_faults += 1;
-        self.charge(self.cost.fault_base);
+        self.account(asid).cow_faults += 1;
+        self.charge(asid, self.cost.fault_base);
         let order = leaf.order;
         let va_page = va.align_down(order.shift());
         let pfn = leaf.base.base_page_number();
@@ -1051,17 +1084,15 @@ impl Os {
         if self.shares.count(pfn, order) <= 1 {
             // Sole owner: regain write permission in place.
             self.map_counted(asid, va_page, leaf.base, order, rw)?;
-            self.stats.shootdowns += 1;
-            self.charge(self.cost.shootdown);
-            self.deliver_shootdowns(&shootdowns);
+            self.shoot_down(Some(asid), &shootdowns, 0);
             return Ok(shootdowns);
         }
 
         match self.cow_policy {
             CowPolicy::CopyWholePage => {
                 let new = self.alloc_direct(asid, vma_base, order)?;
-                self.stats.cow_bytes_copied += order.bytes();
-                self.charge(self.cost.zero_4k * order.base_pages()); // the copy
+                self.account(asid).cow_bytes_copied += order.bytes();
+                self.charge(asid, self.cost.zero_4k * order.base_pages()); // the copy
                 self.map_counted(asid, va_page, new, order, rw)?;
                 self.shares.release(pfn, order);
             }
@@ -1078,20 +1109,20 @@ impl Os {
                 let fault_va = va.align_down(BASE_PAGE_SHIFT);
                 let fault_sub = (fault_va - va_page) >> BASE_PAGE_SHIFT;
                 let new = self.alloc_direct(asid, vma_base, PageOrder::P4K)?;
-                self.stats.cow_bytes_copied += BASE_PAGE_SIZE;
-                self.charge(self.cost.zero_4k);
+                self.account(asid).cow_bytes_copied += BASE_PAGE_SIZE;
+                self.charge(asid, self.cost.zero_4k);
                 self.map_counted(asid, fault_va, new, PageOrder::P4K, rw)?;
                 self.shares.release(pfn + fault_sub, PageOrder::P4K);
             }
         }
-        self.stats.shootdowns += 1;
-        self.charge(self.cost.shootdown);
+        self.account(asid).shootdowns += 1;
+        self.charge(asid, self.cost.shootdown);
         shootdowns.push(Shootdown {
             asid,
             va: va_page,
             order,
         });
-        self.deliver_shootdowns(&shootdowns);
+        self.deliver_shootdowns(Some(asid), &shootdowns);
         Ok(shootdowns)
     }
 
@@ -1184,9 +1215,7 @@ impl Os {
             });
             cursor = VirtAddr::new(leaf_end);
         }
-        self.stats.shootdowns += shootdowns.len() as u64;
-        self.charge(self.cost.shootdown * shootdowns.len() as u64);
-        self.deliver_shootdowns(&shootdowns);
+        self.shoot_down(Some(asid), &shootdowns, 0);
         Ok(shootdowns)
     }
 
@@ -1238,9 +1267,9 @@ impl Os {
         }
         let outcome = compact(&mut self.buddy, &movable)?;
         if outcome.interrupted {
-            self.stats.compaction_aborts += 1;
+            self.kernel.compaction_aborts += 1;
         }
-        self.charge(self.cost.compact_page * outcome.pages_moved);
+        self.kernel.op_cycles += self.cost.compact_page * outcome.pages_moved;
 
         // Relocation lookup, sorted by source base.
         let mut relocs: Vec<(u64, u64, u64)> = outcome
@@ -1307,9 +1336,7 @@ impl Os {
                 }
             }
         }
-        self.stats.shootdowns += shootdowns.len() as u64;
-        self.charge(self.cost.pte_write * pte_cost + self.cost.shootdown * shootdowns.len() as u64);
-        self.deliver_shootdowns(&shootdowns);
+        self.shoot_down(None, &shootdowns, pte_cost);
         Ok((outcome, shootdowns))
     }
 
@@ -1360,7 +1387,7 @@ impl Os {
                         let merged_order = PageOrder::new_unchecked(next);
                         self.map_counted(asid, va, leaf.base, merged_order, leaf.flags)
                             .expect("merge remaps existing leaves");
-                        self.charge(self.cost.promote_op);
+                        self.charge(asid, self.cost.promote_op);
                         merged_this_pass += 1;
                         va = VirtAddr::new(va.value() + merged_order.bytes());
                     } else {
@@ -1373,7 +1400,7 @@ impl Os {
                 break;
             }
         }
-        self.stats.promotions += total;
+        self.account(asid).promotions += total;
         total
     }
 
@@ -1423,7 +1450,7 @@ impl Os {
             }
         }
         let vma = self.proc_mut(asid).address_space.unmap_region(base)?;
-        self.stats.munmaps += 1;
+        self.account(asid).munmaps += 1;
         let mut shootdowns = Vec::new();
 
         // Unmap every leaf in the range.
@@ -1467,7 +1494,7 @@ impl Os {
                         format!("munmap free of reserved block {:?} failed: {e}", seg.base),
                     )
                 })?;
-                self.charge(self.cost.buddy_op);
+                self.charge(asid, self.cost.buddy_op);
             }
         }
 
@@ -1484,7 +1511,7 @@ impl Os {
                         format!("munmap free of direct block {pa:?} failed: {e}"),
                     )
                 })?;
-                self.charge(self.cost.buddy_op);
+                self.charge(asid, self.cost.buddy_op);
             }
         }
 
@@ -1497,9 +1524,7 @@ impl Os {
                 .retain(|r| r.end_vpn <= start || r.start_vpn >= end);
         }
 
-        self.stats.shootdowns += shootdowns.len() as u64;
-        self.charge(self.cost.pte_write * pte_cost + self.cost.shootdown * shootdowns.len() as u64);
-        self.deliver_shootdowns(&shootdowns);
+        self.shoot_down(Some(asid), &shootdowns, pte_cost);
         Ok(shootdowns)
     }
 }
@@ -1779,6 +1804,36 @@ mod tests {
         let pa_b = os.page_table(b).translate(va_b.base()).unwrap();
         assert_ne!(pa_a, pa_b, "distinct frames");
         assert!(os.page_table(a).translate(va_b.base()).is_none() || va_a.base() == va_b.base());
+    }
+
+    #[test]
+    fn each_process_pays_for_its_own_work_and_compaction_for_nobodys() {
+        let mut os = Os::new(256 << 20, PolicyConfig::new(PolicyKind::Tps));
+        let a = os.spawn();
+        let b = os.spawn();
+        // b's frames sit below a's, so unmapping b leaves a hole a's can
+        // compact into.
+        let va_b = os.mmap(b, 4 << 20).unwrap();
+        let va_a = os.mmap(a, 1 << 20).unwrap();
+        touch_all(&mut os, b, &va_b);
+        touch_all(&mut os, a, &va_a);
+        os.munmap(b, va_b.base()).unwrap();
+        let (sa, sb) = (os.process(a).stats(), os.process(b).stats());
+        assert_eq!((sa.faults, sb.faults), (256, 1024));
+        assert_eq!((sa.munmaps, sb.munmaps), (0, 1));
+        let mut sum = sa;
+        sum += sb;
+        assert_eq!(os.stats(), sum, "the machine-wide total is the sum");
+        let (outcome, _) = os.compact().unwrap();
+        assert!(outcome.pages_moved > 0);
+        assert_eq!(
+            os.process(a).stats(),
+            sa,
+            "compaction is charged to no process"
+        );
+        assert_eq!(os.process(b).stats(), sb);
+        let compaction = os.stats().op_cycles - sum.op_cycles;
+        assert!(compaction > 0, "the OS's own account holds it");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use tps_core::inject::should_fault;
 use tps_core::lru::LruCache;
-use tps_core::{FaultSite, InjectorHandle, PhysAddr, VirtAddr};
+use tps_core::{FaultSite, InjectorHandle, PerAsid, PhysAddr, VirtAddr};
 
 /// Address-space id distinguishing processes sharing the MMU caches (SMT).
 pub type Asid = u16;
@@ -41,16 +41,16 @@ impl Default for MmuCacheConfig {
     }
 }
 
-/// The per-level MMU caches plus hit statistics.
+/// The per-level MMU caches plus hit statistics, counted per ASID.
 #[derive(Clone, Debug)]
 pub struct MmuCaches {
     /// caches[0] = PDE (level 2), caches[1] = PDPTE (level 3),
     /// caches[2] = PML4E (level 4). Value = node of the next-lower level.
     caches: [LruCache<(Asid, u64), PhysAddr>; 3],
-    hits: [u64; 3],
+    hits: [PerAsid; 3],
     misses: u64,
     injector: Option<InjectorHandle>,
-    fill_drops: u64,
+    fill_drops: PerAsid,
 }
 
 impl Default for MmuCaches {
@@ -68,10 +68,10 @@ impl MmuCaches {
                 LruCache::new(config.pdpte_entries),
                 LruCache::new(config.pml4e_entries),
             ],
-            hits: [0; 3],
+            hits: Default::default(),
             misses: 0,
             injector: None,
-            fill_drops: 0,
+            fill_drops: PerAsid::default(),
         }
     }
 
@@ -83,9 +83,9 @@ impl MmuCaches {
     }
 
     /// How many fills were dropped by injected [`FaultSite::MmuCacheFill`]
-    /// faults (degradation counter).
-    pub fn fill_drops(&self) -> u64 {
-        self.fill_drops
+    /// faults (degradation counter), per ASID of the walk.
+    pub fn fill_drops(&self) -> &PerAsid {
+        &self.fill_drops
     }
 
     fn tag(asid: Asid, va: VirtAddr, level: u8) -> (Asid, u64) {
@@ -103,7 +103,7 @@ impl MmuCaches {
         // Deepest first: PDE (level-2 entries) lets us skip 3 accesses.
         for (slot, level) in [(0usize, 2u8), (1, 3), (2, 4)] {
             if let Some(&node) = self.caches[slot].get(&Self::tag(asid, va, level)) {
-                self.hits[slot] += 1;
+                self.hits[slot].bump(asid);
                 // A cached level-L entry points at the level L-1 node.
                 return Some((level - 1, node));
             }
@@ -132,7 +132,7 @@ impl MmuCaches {
             }
         };
         if should_fault(&self.injector, FaultSite::MmuCacheFill) {
-            self.fill_drops += 1;
+            self.fill_drops.bump(asid);
             return;
         }
         self.caches[slot].insert(Self::tag(asid, va, level), next_node);
@@ -145,9 +145,10 @@ impl MmuCaches {
         }
     }
 
-    /// Hits in the PDE / PDPTE / PML4E caches respectively.
-    pub fn hit_counts(&self) -> (u64, u64, u64) {
-        (self.hits[0], self.hits[1], self.hits[2])
+    /// Hits in the PDE / PDPTE / PML4E caches respectively, per ASID of
+    /// the walk.
+    pub fn hit_counts(&self) -> &[PerAsid; 3] {
+        &self.hits
     }
 
     /// Walks that found no cached prefix at all.
@@ -173,7 +174,7 @@ mod tests {
         assert_eq!(c.lookup(0, va), Some((1, PhysAddr::new(0x3000))));
         // A different ASID with the same VA prefix misses.
         assert!(c.lookup(1, va).is_none());
-        assert_eq!(c.hit_counts().0, 1);
+        assert_eq!(c.hit_counts()[0].total(), 1);
     }
 
     #[test]
@@ -240,7 +241,7 @@ mod tests {
         })));
         c.set_fault_injector(Some(plan.clone() as InjectorHandle));
         c.insert(0, VirtAddr::new(0), 2, PhysAddr::new(BASE_PAGE_SIZE));
-        assert_eq!(c.fill_drops(), 1);
+        assert_eq!(c.fill_drops().total(), 1);
         assert!(c.lookup(0, VirtAddr::new(0)).is_none(), "fill was dropped");
         assert_eq!(plan.borrow().injected_at("mmu-cache-fill"), 1);
         // Removing the injector restores normal fills.

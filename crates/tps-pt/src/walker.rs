@@ -3,7 +3,9 @@
 use crate::mmu_cache::{Asid, MmuCaches};
 use crate::table::PageTable;
 use tps_core::inject::should_fault;
-use tps_core::{level_base_order, FaultSite, InjectorHandle, LeafInfo, PhysAddr, VirtAddr};
+use tps_core::{
+    level_base_order, FaultSite, InjectorHandle, LeafInfo, PerAsid, PhysAddr, VirtAddr,
+};
 
 /// How alias PTEs of tailored pages behave (paper §III-A1).
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
@@ -135,7 +137,7 @@ pub struct WalkFault {
 pub struct Walker {
     alias_policy: AliasPolicy,
     injector: Option<InjectorHandle>,
-    walk_restarts: u64,
+    walk_restarts: PerAsid,
 }
 
 impl Walker {
@@ -144,7 +146,7 @@ impl Walker {
         Walker {
             alias_policy,
             injector: None,
-            walk_restarts: 0,
+            walk_restarts: PerAsid::default(),
         }
     }
 
@@ -162,9 +164,10 @@ impl Walker {
     }
 
     /// How many walks restarted from the root due to an injected
-    /// [`FaultSite::WalkStep`] fault (degradation counter).
-    pub fn walk_restarts(&self) -> u64 {
-        self.walk_restarts
+    /// [`FaultSite::WalkStep`] fault (degradation counter), per ASID of
+    /// the walk.
+    pub fn walk_restarts(&self) -> &PerAsid {
+        &self.walk_restarts
     }
 
     /// Walks the page table for `va`.
@@ -209,7 +212,7 @@ impl Walker {
                 // the MMU caches. At most one restart per walk keeps the
                 // walk finite under a pathological (p = 1.0) plan.
                 restarted = true;
-                self.walk_restarts += 1;
+                self.walk_restarts.bump(asid);
                 (level, node) = (pt.levels(), pt.root());
             }
             let idx = va.pt_index(level);
@@ -482,7 +485,7 @@ mod tests {
         let ok = w.walk(&pt, va, None).unwrap();
         // One restart: the first step faulted, the rerun's four accesses
         // follow the aborted attempt's zero accesses.
-        assert_eq!(w.walk_restarts(), 1);
+        assert_eq!(w.walk_restarts().total(), 1);
         assert_eq!(ok.refs.len(), 4);
         assert_eq!(Some(ok.translate(va)), pt.translate(va));
         assert_eq!(plan.borrow().injected_at("walk-step"), 1);
@@ -491,6 +494,6 @@ mod tests {
         let mut caches = MmuCaches::default();
         let warm = w.walk(&pt, va, Some(&mut caches)).unwrap();
         assert_eq!(Some(warm.translate(va)), pt.translate(va));
-        assert_eq!(w.walk_restarts(), 2);
+        assert_eq!(w.walk_restarts().total(), 2);
     }
 }

@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use tps_core::rng::SplitMix64;
 use tps_core::{InjectorHandle, TenantFault, TenantFaultCause, TpsError, VirtAddr};
 use tps_mem::BuddyAllocator;
-use tps_os::{Os, OsStats};
+use tps_os::Os;
 use tps_tlb::{Asid, TlbStats};
 use tps_wl::{build_seeded, Event, SuiteScale, Workload, WorkloadProfile};
 
@@ -427,8 +427,6 @@ impl MachineBuilder {
                 mapped_bytes: 0,
                 regions: BTreeMap::new(),
                 counters: RunCounters::default(),
-                os_attr: OsStats::default(),
-                hw_attr: HwAttribution::default(),
                 events: 0,
                 killed: None,
                 final_stats: None,
@@ -461,18 +459,6 @@ impl Workload for ExternalTenant {
     }
 }
 
-/// Hardware counters attributed to one tenant by delta-snapshotting the
-/// machine-wide monotone counters around each of its events.
-#[derive(Clone, Copy, Debug, Default)]
-struct HwAttribution {
-    walk_restarts: u64,
-    mmu_cache_fill_drops: u64,
-    tlb_fill_drops: u64,
-    tlb_evict_abandons: u64,
-    stlb_probe_misses: u64,
-    cache_hits: (u64, u64, u64),
-}
-
 /// One tenant's run-time state.
 struct Tenant {
     asid: Asid,
@@ -482,8 +468,6 @@ struct Tenant {
     mapped_bytes: u64,
     regions: BTreeMap<u32, (VirtAddr, u64)>,
     counters: RunCounters,
-    os_attr: OsStats,
-    hw_attr: HwAttribution,
     /// Events executed so far (the 0-based index of the next event).
     events: u64,
     /// Set when the machine killed this tenant: the fault cause and the
@@ -491,17 +475,6 @@ struct Tenant {
     /// number of events it had executed when it was chosen).
     killed: Option<(TenantFaultCause, u64)>,
     final_stats: Option<RunStats>,
-}
-
-/// Machine-wide monotone counter snapshot, taken around each event so the
-/// delta can be charged to the acting tenant.
-#[derive(Clone, Copy)]
-struct HwSnapshot {
-    os: OsStats,
-    walk_restarts: u64,
-    mmu_cache_fill_drops: u64,
-    tlb: tps_tlb::TlbFaultStats,
-    cache_hits: (u64, u64, u64),
 }
 
 /// One simulated machine: N tenant processes sharing the OS, the physical
@@ -597,48 +570,18 @@ impl Machine {
     /// Merges buddy-pair mappings of one tenant into larger pages (paper
     /// §III-B3). TLB entries need no shootdown (smaller entries stay
     /// correct), but the paging-structure caches are flushed: cross-level
-    /// merges free page-table nodes. The OS work is charged to the tenant.
+    /// merges free page-table nodes. The OS charges the work to the
+    /// tenant's ASID.
     ///
     /// # Panics
     ///
     /// Panics if `tenant` is out of range.
     pub fn merge_pages(&mut self, tenant: usize) -> u64 {
-        let snap = self.snapshot();
         let merges = self.os.merge_pages(self.tenants[tenant].asid);
         if merges > 0 {
             self.mmu.flush_structure_caches();
         }
-        self.attribute(tenant, &snap);
         merges
-    }
-
-    fn snapshot(&self) -> HwSnapshot {
-        let (walk_restarts, mmu_cache_fill_drops, tlb) = self.mmu.hw_fault_counters();
-        HwSnapshot {
-            os: self.os.stats(),
-            walk_restarts,
-            mmu_cache_fill_drops,
-            tlb,
-            cache_hits: self.mmu.mmu_cache_hits(),
-        }
-    }
-
-    /// Charges every machine-wide counter movement since `snap` to
-    /// `tenant`.
-    fn attribute(&mut self, tenant: usize, snap: &HwSnapshot) {
-        let os_now = self.os.stats();
-        let (walk_restarts, mmu_cache_fill_drops, tlb) = self.mmu.hw_fault_counters();
-        let cache_hits = self.mmu.mmu_cache_hits();
-        let t = &mut self.tenants[tenant];
-        t.os_attr.accumulate(&os_now.delta_since(&snap.os));
-        t.hw_attr.walk_restarts += walk_restarts - snap.walk_restarts;
-        t.hw_attr.mmu_cache_fill_drops += mmu_cache_fill_drops - snap.mmu_cache_fill_drops;
-        t.hw_attr.tlb_fill_drops += tlb.fill_drops - snap.tlb.fill_drops;
-        t.hw_attr.tlb_evict_abandons += tlb.evict_abandons - snap.tlb.evict_abandons;
-        t.hw_attr.stlb_probe_misses += tlb.stlb_probe_misses - snap.tlb.stlb_probe_misses;
-        t.hw_attr.cache_hits.0 += cache_hits.0 - snap.cache_hits.0;
-        t.hw_attr.cache_hits.1 += cache_hits.1 - snap.cache_hits.1;
-        t.hw_attr.cache_hits.2 += cache_hits.2 - snap.cache_hits.2;
     }
 
     /// Executes one event on behalf of `tenant`. Exposed for custom
@@ -651,11 +594,12 @@ impl Machine {
     /// out-of-bounds access offset, exceeding the tenant's memory cap,
     /// exhausting shared physical memory, or stepping a tenant that
     /// already retired (`tenant` out of range reports the same way). A
-    /// faulting event leaves the tenant's regions untouched; whatever
-    /// machine-wide counter movement the attempt caused is still
-    /// attributed to the tenant. The machine itself never panics on a
-    /// tenant-originated fault — [`Machine::run`] contains it by killing
-    /// the tenant.
+    /// faulting event leaves the tenant's regions untouched, but whatever
+    /// work the attempt did is still charged to the tenant: the OS and
+    /// the MMU charge every counter to the ASID of the call that counted
+    /// it, so `step` itself reads no counter. The machine never panics
+    /// on a tenant-originated fault — [`Machine::run`] contains it by
+    /// killing the tenant.
     pub fn step(&mut self, tenant: usize, event: Event) -> Result<(), TenantFault> {
         if tenant >= self.tenants.len() {
             return Err(TenantFault::new(
@@ -669,12 +613,7 @@ impl Machine {
                 format!("tenant {tenant} already retired"),
             ));
         }
-        let snap = self.snapshot();
         let result = self.dispatch(tenant, event);
-        // Partial machine-wide movement (e.g. a failed eager mmap's
-        // alloc-then-rollback churn) is charged to the tenant that
-        // caused it, fault or not.
-        self.attribute(tenant, &snap);
         if result.is_ok() {
             self.tenants[tenant].events += 1;
         }
@@ -833,11 +772,11 @@ impl Machine {
             }
         }
         // Every slot left the live list through retire() or kill(), both
-        // of which freeze final_stats; freeze any straggler defensively
+        // of which freeze final_stats; finalize any straggler defensively
         // so collection stays total.
         for slot in 0..self.tenants.len() {
             if self.tenants[slot].final_stats.is_none() {
-                let stats = self.freeze(slot);
+                let stats = self.finalize(slot, false);
                 self.tenants[slot].final_stats = Some(stats);
             }
         }
@@ -923,19 +862,20 @@ impl Machine {
         self.tenants[slot].final_stats = Some(stats);
     }
 
-    /// Shared retire/kill mechanics: freeze statistics first (footprint
-    /// and census are reported as of the exit point), then optionally
-    /// reclaim the tenant's regions, charging the munmaps and shootdowns
-    /// to the departing tenant so the per-tenant rollup still sums
-    /// exactly to the machine-wide counters, and finally retire the
-    /// ASID. The frozen statistics are patched with the reclaim work
-    /// before being returned.
+    /// Shared retire/kill mechanics: take the census and footprint first
+    /// (they are reported as of the exit point), retire the ASID,
+    /// optionally reclaim the tenant's regions, and read the counters
+    /// last. The reclaim's munmaps and shootdowns are made with the
+    /// tenant's ASID, so the OS charges them to the departing tenant and
+    /// the per-tenant rollup still sums exactly to the machine-wide
+    /// counters.
     fn finalize(&mut self, slot: usize, reclaim: bool) -> RunStats {
-        let mut stats = self.freeze(slot);
         let asid = self.tenants[slot].asid;
+        let process = self.os.process(asid);
+        let page_census = process.page_table().page_census();
+        let (resident_bytes, touched_bytes) = (process.resident_bytes(), process.touched_bytes());
         self.mmu.retire_asid(asid);
         if reclaim {
-            let snap = self.snapshot();
             let regions = std::mem::take(&mut self.tenants[slot].regions);
             for (base, _) in regions.into_values() {
                 // A region recorded here is mapped by construction; if
@@ -946,36 +886,15 @@ impl Machine {
                 }
             }
             self.tenants[slot].mapped_bytes = 0;
-            self.attribute(slot, &snap);
-            let t = &self.tenants[slot];
-            stats.os = t.os_attr;
-            stats.mmu_cache_hits = t.hw_attr.cache_hits;
-            stats.hw_faults.walk_restarts = t.hw_attr.walk_restarts;
-            stats.hw_faults.mmu_cache_fill_drops = t.hw_attr.mmu_cache_fill_drops;
-            stats.hw_faults.tlb_fill_drops = t.hw_attr.tlb_fill_drops;
-            stats.hw_faults.tlb_evict_abandons = t.hw_attr.tlb_evict_abandons;
-            stats.hw_faults.stlb_probe_misses = t.hw_attr.stlb_probe_misses;
         }
-        stats
-    }
-
-    /// Builds one tenant's final [`RunStats`] from its own counters and
-    /// the machine-wide work attributed to its events.
-    fn freeze(&self, slot: usize) -> RunStats {
         let t = &self.tenants[slot];
         let profile = t.workload.profile();
         let insts = |c: &ThreadCounters| {
             (c.mem.accesses as f64 * profile.insts_per_access) as u64 + c.extra_insts
         };
-        let process = self.os.process(t.asid);
-        let hw_faults = HwFaultStats {
-            walk_restarts: t.hw_attr.walk_restarts,
-            alias_install_retries: process.page_table().alias_install_retries(),
-            mmu_cache_fill_drops: t.hw_attr.mmu_cache_fill_drops,
-            tlb_fill_drops: t.hw_attr.tlb_fill_drops,
-            tlb_evict_abandons: t.hw_attr.tlb_evict_abandons,
-            stlb_probe_misses: t.hw_attr.stlb_probe_misses,
-        };
+        let process = self.os.process(asid);
+        let (walk_restarts, mmu_cache_fill_drops, tlb) =
+            self.mmu.hw_fault_counters_by(|c| c.of(asid));
         RunStats {
             name: profile.name.clone(),
             instructions: insts(&t.counters.measured),
@@ -988,56 +907,44 @@ impl Machine {
             ad_updates: t.counters.measured.ad_updates,
             full_mem: t.counters.full.mem,
             full_walk_refs: t.counters.full.walk_refs,
-            os: t.os_attr,
-            page_census: process.page_table().page_census(),
-            resident_bytes: process.resident_bytes(),
-            touched_bytes: process.touched_bytes(),
-            mmu_cache_hits: t.hw_attr.cache_hits,
-            hw_faults,
+            os: process.stats(),
+            page_census,
+            resident_bytes,
+            touched_bytes,
+            mmu_cache_hits: self.mmu.mmu_cache_hits_by(|c| c.of(asid)),
+            hw_faults: HwFaultStats {
+                walk_restarts,
+                alias_install_retries: process.page_table().alias_install_retries(),
+                mmu_cache_fill_drops,
+                tlb_fill_drops: tlb.fill_drops,
+                tlb_evict_abandons: tlb.evict_abandons,
+                stlb_probe_misses: tlb.stlb_probe_misses,
+            },
         }
     }
 
-    /// The machine-wide rollup: counter sums across tenants, with the OS,
-    /// MMU-cache and hardware-fault counters read machine-wide (for a
-    /// single tenant this is exactly what the old solo driver reported).
+    /// The machine-wide rollup: the sum of the tenants' stats, with the
+    /// OS counters read machine-wide so work charged to no tenant
+    /// (compaction) is included. For a single tenant this is exactly what
+    /// the old solo driver reported.
     fn rollup(&self, per_tenant: &[RunStats]) -> RunStats {
-        let (walk_restarts, mmu_cache_fill_drops, tlb) = self.mmu.hw_fault_counters();
-        let hw_faults = HwFaultStats {
-            walk_restarts,
-            alias_install_retries: self
-                .tenants
-                .iter()
-                .map(|t| self.os.process(t.asid).page_table().alias_install_retries())
-                .sum(),
-            mmu_cache_fill_drops,
-            tlb_fill_drops: tlb.fill_drops,
-            tlb_evict_abandons: tlb.evict_abandons,
-            stlb_probe_misses: tlb.stlb_probe_misses,
-        };
         if let [solo] = per_tenant {
-            // Byte-exact continuity with the old single-process driver:
-            // the rollup is the tenant's stats with the shared counters
-            // read machine-wide.
             let mut global = solo.clone();
             global.os = self.os.stats();
-            global.mmu_cache_hits = self.mmu.mmu_cache_hits();
-            global.hw_faults = hw_faults;
             return global;
         }
-        let sum_tlb = |field: fn(&RunStats) -> &TlbStats| {
-            let mut total = TlbStats::default();
-            for s in per_tenant {
-                let f = field(s);
-                total.accesses += f.accesses;
-                total.l1_hits += f.l1_hits;
-                total.stlb_hits += f.stlb_hits;
-                total.range_hits += f.range_hits;
-                total.l2_misses += f.l2_misses;
-            }
-            total
-        };
+        let mut mem = TlbStats::default();
+        let mut full_mem = TlbStats::default();
+        let mut mmu_cache_hits = (0, 0, 0);
+        let mut hw_faults = HwFaultStats::default();
         let mut page_census = BTreeMap::new();
         for s in per_tenant {
+            mem += s.mem;
+            full_mem += s.full_mem;
+            mmu_cache_hits.0 += s.mmu_cache_hits.0;
+            mmu_cache_hits.1 += s.mmu_cache_hits.1;
+            mmu_cache_hits.2 += s.mmu_cache_hits.2;
+            hw_faults += s.hw_faults;
             for (order, count) in &s.page_census {
                 *page_census.entry(*order).or_insert(0) += count;
             }
@@ -1050,7 +957,7 @@ impl Machine {
         RunStats {
             name: name.clone(),
             profile: weighted_profile(name, per_tenant),
-            mem: sum_tlb(|s| &s.mem),
+            mem,
             walks: per_tenant.iter().map(|s| s.walks).sum(),
             walk_refs: per_tenant.iter().map(|s| s.walk_refs).sum(),
             alias_extras: per_tenant.iter().map(|s| s.alias_extras).sum(),
@@ -1058,12 +965,12 @@ impl Machine {
             os: self.os.stats(),
             instructions: per_tenant.iter().map(|s| s.instructions).sum(),
             full_instructions: per_tenant.iter().map(|s| s.full_instructions).sum(),
-            full_mem: sum_tlb(|s| &s.full_mem),
+            full_mem,
             full_walk_refs: per_tenant.iter().map(|s| s.full_walk_refs).sum(),
             page_census,
             resident_bytes: per_tenant.iter().map(|s| s.resident_bytes).sum(),
             touched_bytes: per_tenant.iter().map(|s| s.touched_bytes).sum(),
-            mmu_cache_hits: self.mmu.mmu_cache_hits(),
+            mmu_cache_hits,
             hw_faults,
         }
     }
@@ -1605,38 +1512,109 @@ mod tests {
 
     #[test]
     fn per_tenant_os_work_sums_to_machine_totals_with_reclaim_and_kills() {
-        let config = MachineConfig::for_mechanism(Mechanism::Tps)
-            .with_memory(128 << 20)
-            .with_verification();
-        let mut m = MachineBuilder::new(config)
-            .tenant(TenantSpec::workload(gups(1_000)))
-            .tenant(
-                TenantSpec::workload(Hog {
+        use tps_core::{FaultPlan, FaultPlanConfig};
+        use tps_os::OsStats;
+        // THP has the dual STLB (forced probe misses); TPS has the
+        // any-size TLBs (dropped fills) and alias PTEs (install retries).
+        for mech in [Mechanism::Tps, Mechanism::Thp] {
+            let config = MachineConfig::for_mechanism(mech)
+                .with_memory(48 << 20)
+                .with_verification();
+            let mut m = MachineBuilder::new(config)
+                .tenant(TenantSpec::workload(gups(1_000)))
+                .tenant(
+                    TenantSpec::workload(Hog {
+                        chunk: 1 << 20,
+                        touches: 4,
+                        step: 0,
+                    })
+                    .memory_cap(3 << 20),
+                )
+                .tenant(TenantSpec::workload(gups(2_000)))
+                // Uncapped: maps until the shared pool runs dry.
+                .tenant(TenantSpec::workload(Hog {
                     chunk: 1 << 20,
-                    touches: 4,
+                    touches: 64,
                     step: 0,
+                }))
+                .reclaim_on_exit(true)
+                .on_oom(OnOom::KillVictim)
+                .build()
+                .unwrap();
+            let (injector, plan) = FaultPlan::handles(FaultPlanConfig {
+                shootdown_deliver: 0.05,
+                ..FaultPlanConfig::uniform_hw(7, 0.05)
+            });
+            m.set_fault_injector(Some(injector));
+            let stats = m.run();
+            assert!(plan.borrow().injected_total() > 0, "{mech}");
+            let causes: Vec<_> = stats
+                .outcomes
+                .iter()
+                .map(|o| match o {
+                    TenantOutcome::Killed { cause, .. } => Some(*cause),
+                    TenantOutcome::Completed => None,
                 })
-                .memory_cap(3 << 20),
-            )
-            .tenant(TenantSpec::workload(gups(2_000)))
-            .reclaim_on_exit(true)
-            .build()
-            .unwrap();
-        let stats = m.run();
-        assert_eq!(stats.killed_count(), 1);
-        // Every OS counter — including the munmaps and shootdowns of the
-        // exit/kill reclaims — is attributed to exactly one tenant.
-        let machine_wide = m.os().stats();
-        let sum = |f: fn(&OsStats) -> u64| stats.per_tenant.iter().map(|s| f(&s.os)).sum::<u64>();
-        assert_eq!(sum(|o| o.mmaps), machine_wide.mmaps);
-        assert_eq!(sum(|o| o.munmaps), machine_wide.munmaps);
-        assert_eq!(sum(|o| o.faults), machine_wide.faults);
-        assert_eq!(sum(|o| o.shootdowns), machine_wide.shootdowns);
-        assert_eq!(sum(|o| o.op_cycles), machine_wide.op_cycles);
-        assert_eq!(stats.global.os.munmaps, machine_wide.munmaps);
-        // Reclaim really happened: nobody holds memory after the run.
-        for slot in 0..3 {
-            assert_eq!(m.os().process(slot as Asid).resident_bytes(), 0);
+                .collect();
+            assert_eq!(
+                causes,
+                [
+                    None,
+                    Some(TenantFaultCause::CapExceeded),
+                    None,
+                    Some(TenantFaultCause::Oom)
+                ],
+                "{mech}"
+            );
+            // Every OS counter — including the munmaps and shootdowns of
+            // the exit/kill reclaims — is charged to exactly one tenant.
+            let machine_wide = m.os().stats();
+            let mut os_sum = OsStats::default();
+            for s in &stats.per_tenant {
+                os_sum += s.os;
+            }
+            assert_eq!(os_sum, machine_wide, "{mech}");
+            assert_eq!(stats.global.os, machine_wide, "{mech}");
+            assert!(machine_wide.shootdowns_retried > 0, "{mech}");
+            // So is every hardware counter: per-tenant MMU-cache hits and
+            // degradation counters sum to the rollup and to the MMU's own
+            // machine-wide totals.
+            let mut hits = (0, 0, 0);
+            let mut hw = HwFaultStats::default();
+            for s in &stats.per_tenant {
+                hits.0 += s.mmu_cache_hits.0;
+                hits.1 += s.mmu_cache_hits.1;
+                hits.2 += s.mmu_cache_hits.2;
+                hw += s.hw_faults;
+            }
+            assert_eq!(hits, stats.global.mmu_cache_hits, "{mech}");
+            assert_eq!(hits, m.mmu().mmu_cache_hits(), "{mech}");
+            assert_eq!(hw, stats.global.hw_faults, "{mech}");
+            let (walk_restarts, mmu_cache_fill_drops, tlb) = m.mmu().hw_fault_counters();
+            let alias_install_retries = (0..4)
+                .map(|asid| m.os().page_table(asid).alias_install_retries())
+                .sum();
+            let machine_hw = HwFaultStats {
+                walk_restarts,
+                alias_install_retries,
+                mmu_cache_fill_drops,
+                tlb_fill_drops: tlb.fill_drops,
+                tlb_evict_abandons: tlb.evict_abandons,
+                stlb_probe_misses: tlb.stlb_probe_misses,
+            };
+            assert_eq!(hw, machine_hw, "{mech}");
+            assert!(
+                hw.walk_restarts > 0 && hw.mmu_cache_fill_drops > 0,
+                "{mech}"
+            );
+            match mech {
+                Mechanism::Tps => assert!(hw.tlb_fill_drops > 0, "{hw:?}"),
+                _ => assert!(hw.stlb_probe_misses > 0, "{hw:?}"),
+            }
+            // Reclaim really happened: nobody holds memory after the run.
+            for asid in 0..4 {
+                assert_eq!(m.os().process(asid).resident_bytes(), 0, "{mech}");
+            }
         }
     }
 

@@ -3,7 +3,7 @@
 
 use crate::config::MachineConfig;
 use crate::nested::NestedWalkModel;
-use tps_core::{LeafInfo, PageOrder, PteFlags, TpsError, VirtAddr};
+use tps_core::{LeafInfo, PageOrder, PerAsid, PteFlags, TpsError, VirtAddr};
 use tps_os::{Os, Shootdown};
 use tps_pt::{MmuCaches, Walker};
 use tps_tlb::{Asid, L2Hit, TlbHierarchy, Translation};
@@ -65,9 +65,16 @@ impl Mmu {
         }
     }
 
-    /// MMU-cache hit counters (PDE, PDPTE, PML4E).
+    /// MMU-cache hit counters (PDE, PDPTE, PML4E), machine-wide.
     pub fn mmu_cache_hits(&self) -> (u64, u64, u64) {
-        self.caches.hit_counts()
+        self.mmu_cache_hits_by(PerAsid::total)
+    }
+
+    /// MMU-cache hit counters, each counted per ASID of the walk; `read`
+    /// picks the share: `|c| c.of(asid)` for one address space's.
+    pub fn mmu_cache_hits_by(&self, read: impl Fn(&PerAsid) -> u64) -> (u64, u64, u64) {
+        let [pde, pdpte, pml4e] = self.caches.hit_counts();
+        (read(pde), read(pdpte), read(pml4e))
     }
 
     /// Installs (or removes) a fault injector on every hardware structure
@@ -81,12 +88,23 @@ impl Mmu {
     }
 
     /// Degradation counters from injected hardware faults: walk restarts,
-    /// dropped MMU-cache fills, and the TLB hierarchy's fault stats.
+    /// dropped MMU-cache fills, and the TLB hierarchy's fault stats,
+    /// machine-wide.
     pub fn hw_fault_counters(&self) -> (u64, u64, tps_tlb::TlbFaultStats) {
+        self.hw_fault_counters_by(PerAsid::total)
+    }
+
+    /// The degradation counters, each counted against the ASID of the
+    /// access that suffered it; `read` picks the share: `|c| c.of(asid)`
+    /// for one address space's.
+    pub fn hw_fault_counters_by(
+        &self,
+        read: impl Fn(&PerAsid) -> u64,
+    ) -> (u64, u64, tps_tlb::TlbFaultStats) {
         (
-            self.walker.walk_restarts(),
-            self.caches.fill_drops(),
-            self.tlb.fault_stats(),
+            read(self.walker.walk_restarts()),
+            read(self.caches.fill_drops()),
+            self.tlb.fault_stats(read),
         )
     }
 

@@ -51,6 +51,17 @@ pub struct HwFaultStats {
     pub stlb_probe_misses: u64,
 }
 
+impl std::ops::AddAssign for HwFaultStats {
+    fn add_assign(&mut self, other: HwFaultStats) {
+        self.walk_restarts += other.walk_restarts;
+        self.alias_install_retries += other.alias_install_retries;
+        self.mmu_cache_fill_drops += other.mmu_cache_fill_drops;
+        self.tlb_fill_drops += other.tlb_fill_drops;
+        self.tlb_evict_abandons += other.tlb_evict_abandons;
+        self.stlb_probe_misses += other.stlb_probe_misses;
+    }
+}
+
 impl HwFaultStats {
     /// Sum of every degradation counter.
     pub fn total(&self) -> u64 {

@@ -29,7 +29,7 @@
 
 use crate::entry::{Asid, TlbEntry};
 use tps_core::inject::should_fault;
-use tps_core::{FaultSite, InjectorHandle, PageOrder, VirtAddr, MAX_PAGE_ORDER};
+use tps_core::{FaultSite, InjectorHandle, PageOrder, PerAsid, VirtAddr, MAX_PAGE_ORDER};
 
 /// "No slot": an empty index way or the end of the LRU list.
 const NONE: u32 = u32::MAX;
@@ -143,8 +143,8 @@ pub struct AnySizeTlb {
     /// Removal scratch: the surviving slots, renumbered, in LRU order.
     lru_order: Vec<u32>,
     injector: Option<InjectorHandle>,
-    fill_drops: u64,
-    evict_abandons: u64,
+    fill_drops: PerAsid,
+    evict_abandons: PerAsid,
 }
 
 impl AnySizeTlb {
@@ -170,8 +170,8 @@ impl AnySizeTlb {
             renumber: vec![NONE; capacity],
             lru_order: Vec::with_capacity(capacity),
             injector: None,
-            fill_drops: 0,
-            evict_abandons: 0,
+            fill_drops: PerAsid::default(),
+            evict_abandons: PerAsid::default(),
         }
     }
 
@@ -184,15 +184,16 @@ impl AnySizeTlb {
     }
 
     /// Fills dropped by injected [`FaultSite::AnySizeFill`] faults
-    /// (degradation counter).
-    pub fn fill_drops(&self) -> u64 {
-        self.fill_drops
+    /// (degradation counter), per ASID of the dropped entry.
+    pub fn fill_drops(&self) -> &PerAsid {
+        &self.fill_drops
     }
 
     /// Evictions whose incoming entry was abandoned by injected
-    /// [`FaultSite::AnySizeEvict`] faults (degradation counter).
-    pub fn evict_abandons(&self) -> u64 {
-        self.evict_abandons
+    /// [`FaultSite::AnySizeEvict`] faults (degradation counter), per ASID
+    /// of the abandoned entry.
+    pub fn evict_abandons(&self) -> &PerAsid {
+        &self.evict_abandons
     }
 
     /// Entry capacity.
@@ -239,7 +240,7 @@ impl AnySizeTlb {
     /// and order is resident it is updated in place.
     pub fn fill(&mut self, entry: TlbEntry) {
         if should_fault(&self.injector, FaultSite::AnySizeFill) {
-            self.fill_drops += 1;
+            self.fill_drops.bump(entry.asid);
             return;
         }
         let order = u32::from(entry.order.get());
@@ -266,7 +267,7 @@ impl AnySizeTlb {
         if should_fault(&self.injector, FaultSite::AnySizeEvict) {
             // The victim is already gone when the install fails: the slot
             // ends up empty until a later fill reuses it.
-            self.evict_abandons += 1;
+            self.evict_abandons.bump(entry.asid);
             self.retain(|slot, _| slot != victim);
             return;
         }
@@ -726,7 +727,7 @@ mod tests {
         });
         t.set_fault_injector(Some(plan.clone() as InjectorHandle));
         t.fill(e(0, 0));
-        assert_eq!(t.fill_drops(), 1);
+        assert_eq!(t.fill_drops().total(), 1);
         assert!(t.is_empty(), "fill was dropped");
         assert!(t.lookup(0, 0).is_none());
         assert_eq!(plan.borrow().injected_at("any-size-fill"), 1);
@@ -745,7 +746,7 @@ mod tests {
         t.set_fault_injector(Some(plan.clone() as InjectorHandle));
         t.fill(e(2, 0));
         // The LRU victim (vpn 0) is gone, the incoming entry never landed.
-        assert_eq!(t.evict_abandons(), 1);
+        assert_eq!(t.evict_abandons().total(), 1);
         assert_eq!(t.len(), 1);
         assert!(t.lookup(0, 0).is_none(), "victim evicted");
         assert!(t.lookup(0, 2).is_none(), "incoming abandoned");
@@ -872,9 +873,14 @@ mod tests {
                 "step {}: slot order differs",
                 step
             );
-            prop_assert_eq!(tlb.fill_drops(), model.fill_drops(), "step {}", step);
             prop_assert_eq!(
-                tlb.evict_abandons(),
+                tlb.fill_drops().total(),
+                model.fill_drops(),
+                "step {}",
+                step
+            );
+            prop_assert_eq!(
+                tlb.evict_abandons().total(),
                 model.evict_abandons(),
                 "step {}",
                 step

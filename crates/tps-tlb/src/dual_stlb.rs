@@ -6,7 +6,7 @@
 
 use crate::entry::{Asid, TlbEntry};
 use tps_core::inject::should_fault;
-use tps_core::{FaultSite, InjectorHandle, PageOrder, VirtAddr};
+use tps_core::{FaultSite, InjectorHandle, PageOrder, PerAsid, VirtAddr};
 
 /// Set-associative second-level TLB with 4 KB / 2 MB dual-probe lookup.
 ///
@@ -31,7 +31,7 @@ pub struct DualStlb {
     entries: Vec<Vec<(TlbEntry, u64)>>,
     clock: u64,
     injector: Option<InjectorHandle>,
-    probe_misses: u64,
+    probe_misses: PerAsid,
 }
 
 impl DualStlb {
@@ -49,7 +49,7 @@ impl DualStlb {
             entries: vec![Vec::with_capacity(ways); sets],
             clock: 0,
             injector: None,
-            probe_misses: 0,
+            probe_misses: PerAsid::default(),
         }
     }
 
@@ -61,9 +61,9 @@ impl DualStlb {
     }
 
     /// Lookups forced to miss by injected [`FaultSite::StlbProbe`] faults
-    /// (degradation counter).
-    pub fn probe_misses(&self) -> u64 {
-        self.probe_misses
+    /// (degradation counter), per ASID of the lookup.
+    pub fn probe_misses(&self) -> &PerAsid {
+        &self.probe_misses
     }
 
     /// Total entry capacity.
@@ -87,7 +87,7 @@ impl DualStlb {
     /// Dual-probe lookup: tries the 4 KB index then the 2 MB index.
     pub fn lookup(&mut self, asid: Asid, vpn: u64) -> Option<TlbEntry> {
         if should_fault(&self.injector, FaultSite::StlbProbe) {
-            self.probe_misses += 1;
+            self.probe_misses.bump(asid);
             return None;
         }
         self.clock += 1;
@@ -269,7 +269,7 @@ mod tests {
         })));
         s.set_fault_injector(Some(plan.clone() as InjectorHandle));
         assert!(s.lookup(0, 3).is_none(), "probe forced to miss");
-        assert_eq!(s.probe_misses(), 1);
+        assert_eq!(s.probe_misses().total(), 1);
         assert_eq!(plan.borrow().injected_at("stlb-probe"), 1);
         // The entry itself is untouched: removing the injector hits again.
         s.set_fault_injector(None);

@@ -19,7 +19,7 @@ use crate::entry::{Asid, TlbEntry};
 use crate::range_tlb::{RangeEntry, RangeTlb};
 use crate::set_assoc::SetAssocTlb;
 use crate::skewed::SkewedTlb;
-use tps_core::{InjectorHandle, LeafInfo, PageOrder, VirtAddr};
+use tps_core::{InjectorHandle, LeafInfo, PageOrder, PerAsid, VirtAddr};
 
 /// Which TLB organization to build.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Default)]
@@ -130,6 +130,16 @@ pub struct TlbStats {
     pub range_hits: u64,
     /// Accesses that missed every TLB level (page walks).
     pub l2_misses: u64,
+}
+
+impl std::ops::AddAssign for TlbStats {
+    fn add_assign(&mut self, other: TlbStats) {
+        self.accesses += other.accesses;
+        self.l1_hits += other.l1_hits;
+        self.stlb_hits += other.stlb_hits;
+        self.range_hits += other.range_hits;
+        self.l2_misses += other.l2_misses;
+    }
 }
 
 impl TlbStats {
@@ -442,8 +452,10 @@ impl TlbHierarchy {
     }
 
     /// Degradation counters from injected TLB faults, summed across the
-    /// instrumented structures.
-    pub fn fault_stats(&self) -> TlbFaultStats {
+    /// instrumented structures. `read` picks the share of each per-ASID
+    /// counter: [`PerAsid::total`] for the machine-wide figure, or
+    /// `|c| c.of(asid)` for one address space's.
+    pub fn fault_stats(&self, read: impl Fn(&PerAsid) -> u64) -> TlbFaultStats {
         let mut out = TlbFaultStats::default();
         if !self.injected {
             return out;
@@ -451,10 +463,10 @@ impl TlbHierarchy {
         for level in self.l1.iter().chain(&self.l2) {
             match &level.tlb {
                 Structure::AnySize(t) => {
-                    out.fill_drops += t.fill_drops();
-                    out.evict_abandons += t.evict_abandons();
+                    out.fill_drops += read(t.fill_drops());
+                    out.evict_abandons += read(t.evict_abandons());
                 }
-                Structure::Dual(t) => out.stlb_probe_misses += t.probe_misses(),
+                Structure::Dual(t) => out.stlb_probe_misses += read(t.probe_misses()),
                 Structure::SetAssoc(_)
                 | Structure::Colt(_)
                 | Structure::Skewed(_)
@@ -674,7 +686,7 @@ mod tests {
         let va = VirtAddr::new(GIB);
         let l = leaf(GIB, 9);
         h.fill_l1(0, va, &l);
-        assert_eq!(h.fault_stats(), TlbFaultStats::default());
+        assert_eq!(h.fault_stats(PerAsid::total), TlbFaultStats::default());
         let (handle, _plan) = FaultPlan::handles(FaultPlanConfig {
             any_size_fill: 1.0,
             stlb_probe: 1.0,
@@ -685,11 +697,14 @@ mod tests {
         assert_eq!(h.lookup_l2(0, va), L2Hit::Miss); // forced probe miss
                                                      // Removing the injector keeps what it already injected.
         h.set_fault_injector(None);
-        let s = h.fault_stats();
+        let s = h.fault_stats(PerAsid::total);
         assert_eq!(
             (s.fill_drops, s.evict_abandons, s.stlb_probe_misses),
             (1, 0, 1)
         );
+        // Both degradations are charged to the ASID that suffered them.
+        assert_eq!(h.fault_stats(|c| c.of(0)), s);
+        assert_eq!(h.fault_stats(|c| c.of(1)), TlbFaultStats::default());
     }
 
     #[test]
